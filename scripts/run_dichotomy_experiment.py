@@ -27,12 +27,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--s-max", type=float, default=5e-3)
     parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="dichotomy_experiments.json")
     args = parser.parse_args()
 
     s_grid = tuple(args.s_max * (k + 1) / args.steps for k in range(args.steps))
-    config = pert.ExperimentConfig(s_grid=s_grid, threads=args.threads)
+    config = pert.ExperimentConfig(s_grid=s_grid)
 
     runs = {}
 

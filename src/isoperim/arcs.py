@@ -21,10 +21,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import disk as diskmod
+from ._roots import sign_change_roots
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
                      NotPerfect)
-from .geometry import (PlaneBoundary, SupportCurve, TWO_PI,
+from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
                        curvature_arclength_derivatives)
 
 SEGMENT_NORMAL_TOL = 1e-8
@@ -244,16 +245,8 @@ def scan_arc_roots(curve: PlaneBoundary, s1: float, n_scan: int = 512,
     offs = np.linspace(exclusion, TWO_PI - exclusion, n_scan)
     s2_grid = s1 + offs
     vals = two_point_f_many(curve, s1, s2_grid)
-    roots = []
-    for i in range(n_scan - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(s2_grid[i]))
-            continue
-        if (va < 0.0) != (vb < 0.0):
-            root = brentq(lambda s2: two_point_f(curve, s1, s2),
-                          s2_grid[i], s2_grid[i + 1], xtol=1e-13)
-            roots.append(float(root))
+    roots = sign_change_roots(lambda s2: two_point_f(curve, s1, s2),
+                              s2_grid, vals, 1e-13)
     good = []
     for r in roots:
         s = curve.sample(np.array([s1, r], dtype=float))
@@ -331,7 +324,7 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
     family is generated by the closed-form arcs instead (fixed midpoint,
     growing half-angle).
     """
-    if isinstance(curve, SupportCurve) and _is_centered_disk(curve):
+    if isinstance(curve, SupportCurve) and _is_disk_coeffs(curve):
         return _disk_route(curve, seed, steps, ds)
 
     if abs(two_point_f(curve, seed.s1, seed.s2)) > 1e-8:
@@ -360,12 +353,6 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
             break
         arcs.append(build_arc(curve, lo, hi))
     return arcs
-
-
-def _is_centered_disk(curve: SupportCurve, tol: float = 1e-12) -> bool:
-    scale = max(abs(curve.cos_coeffs[0]), 1.0)
-    rest = list(curve.cos_coeffs[1:]) + list(curve.sin_coeffs)
-    return all(abs(c) <= tol * scale for c in rest)
 
 
 def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
@@ -400,45 +387,44 @@ def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
 # vertex families
 # --------------------------------------------------------------------------
 
-def vertex_family(curve: SupportCurve, vertex_theta: float,
-                  s1_grid: Sequence[float]) -> list:
-    """Arcs shrinking to a non-degenerate vertex (κ' = 0, κ'' ≠ 0).
+def _vertex_partners(curve: SupportCurve, vertex_theta: float,
+                     offsets) -> list:
+    """Endpoint pairs (t1, t2) of the arcs at arclength offsets s1 > 0 from a
+    non-degenerate vertex (κ' = 0, κ'' ≠ 0).
 
-    s1_grid holds arclength offsets of the upper endpoint from the vertex;
-    the partner offset solves f = 0, seeded by the quadratic expansion
+    The partner offset solves f = 0, seeded by the quadratic expansion
     s2 ≈ −s1 − (κ'''/(5κ''))·s1².
     """
-    curve.require_convex()
     k_s, k_ss, k_sss = curvature_arclength_derivatives(curve, vertex_theta)
     if abs(k_s) > 1e-8:
         raise NotAVertex(f"kappa'({vertex_theta:.6f}) = {k_s:.3e} != 0")
     if abs(k_ss) < 1e-8:
         raise DegenerateVertex(f"kappa'' = {k_ss:.3e} at the vertex")
-
     a2 = -k_sss / (5.0 * k_ss)
-    arcs = []
-    for s1 in sorted(float(x) for x in s1_grid):
+    pairs = []
+    for s1 in offsets:
         if s1 <= 0.0:
             raise ValueError("s1 offsets must be positive")
         t1 = curve.theta_at_arclength(vertex_theta, s1)
-        s2_guess = -s1 + a2 * s1 * s1
-        t2 = curve.theta_at_arclength(vertex_theta, s2_guess)
-        t2 = _correct_s2(curve, t1, t2, 0.5 * s1)
-        lo, hi = (t2, t1) if t2 < t1 else (t1, t2)
-        arcs.append(build_arc(curve, lo, hi))
-    return arcs
+        t2 = curve.theta_at_arclength(vertex_theta, -s1 + a2 * s1 * s1)
+        pairs.append((t1, _correct_s2(curve, t1, t2, 0.5 * s1)))
+    return pairs
+
+
+def vertex_family(curve: SupportCurve, vertex_theta: float,
+                  s1_grid: Sequence[float]) -> list:
+    """Arcs shrinking to a non-degenerate vertex (κ' = 0, κ'' ≠ 0).
+
+    s1_grid holds arclength offsets of the upper endpoint from the vertex.
+    """
+    curve.require_convex()
+    offsets = sorted(float(x) for x in s1_grid)
+    return [build_arc(curve, min(t1, t2), max(t1, t2))
+            for t1, t2 in _vertex_partners(curve, vertex_theta, offsets)]
 
 
 def vertex_partner_offset(curve: SupportCurve, vertex_theta: float,
                           s1: float) -> float:
     """Solved arclength offset s2 of the partner endpoint (for testing)."""
-    k_s, k_ss, k_sss = curvature_arclength_derivatives(curve, vertex_theta)
-    if abs(k_s) > 1e-8:
-        raise NotAVertex("not a vertex")
-    if abs(k_ss) < 1e-8:
-        raise DegenerateVertex("degenerate vertex")
-    a2 = -k_sss / (5.0 * k_ss)
-    t1 = curve.theta_at_arclength(vertex_theta, s1)
-    t2_guess = curve.theta_at_arclength(vertex_theta, -s1 + a2 * s1 * s1)
-    t2 = _correct_s2(curve, t1, t2_guess, 0.5 * s1)
+    [(_, t2)] = _vertex_partners(curve, vertex_theta, [float(s1)])
     return curve.arclength_between(vertex_theta, t2)

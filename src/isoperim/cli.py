@@ -5,14 +5,14 @@ perturb (roots|experiment), implicit-curve. Every command is deterministic
 (identical config gives byte-identical output) and writes UTF-8.
 
 Exit codes: 0 success/pass, 1 check completed but failed, 2 config error,
-3 domain precondition violated, 4 numerical failure.
+3 domain precondition violated, 4 numerical failure (3 and 4 are declared on
+the error classes in `errors`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,15 +21,12 @@ from . import arcs as arcsmod
 
 from . import perturbation as pertmod
 from . import profile as profilemod
-from .errors import (IsDisk, IsoperimError, NonConvex, NotClassA,
-                     NotNormalized, NumericalError)
+from .errors import IsoperimError, NumericalError
 from .geometry import SupportCurve, classify, domain_from_spec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
-EXIT_NUMERIC = 4
 
 
 def _fmt(x) -> str:
@@ -80,11 +77,11 @@ def _load_domain(args) -> SupportCurve:
     return domain_from_spec(spec)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    env = os.environ.get("ISOPERIM_THREADS")
-    return max(1, int(env)) if env else 1
+def _samples(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
 
 
 def _add_domain_args(p):
@@ -174,8 +171,7 @@ def cmd_perturb_experiment(args) -> int:
     s_grid = tuple(args.s_max * (k + 1) / n_steps for k in range(n_steps))
     config = pertmod.ExperimentConfig(
         s_grid=s_grid,
-        oracle=profilemod.OracleConfig(n_s1=args.grid, threads=_threads(args)),
-        threads=_threads(args),
+        oracle=profilemod.OracleConfig(n_s1=args.grid),
     )
     report = pertmod.profile_decrease_experiment(f, area, config)
     _emit(_json_dump(report.to_dict()), args.output)
@@ -196,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isoperim",
         description="Isoperimetric profiles of planar convex bodies "
                     "via free-boundary circular arcs")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for grid sweeps "
-                             "(or ISOPERIM_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("domain-info", help="area, curvature extremes, symmetry class")
@@ -208,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="symmetric-family profile table (CSV)")
     _add_domain_args(p)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_samples, default=256)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("check-conjecture", help="sup L/L* against the unit disk")
     _add_domain_args(p)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_samples, default=256)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_check_conjecture)
 
@@ -270,12 +263,11 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotClassA, NotNormalized, IsDisk, NonConvex) as exc:
-        print(f"domain precondition: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (NumericalError, IsoperimError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except IsoperimError as exc:
+        kind = ("numerical failure" if isinstance(exc, NumericalError)
+                else "domain precondition")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The family of arcs meeting the unit circle orthogonally is parametrized by
 the contact half-angle θ ∈ (0, π/2): curvature cot θ, length (π − 2θ)tan θ,
 enclosed area θ − tan θ + (π/2 − θ)tan²θ. The profile is the inverse of the
 area map composed with the length map; the map has no closed-form inverse
-but is strictly monotone, so bisection is exact to rounding.
+but is strictly monotone, so a bracketed Brent solve is exact to rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import invert_monotone
 from .errors import OutOfRange
 
 PI = np.pi
@@ -76,20 +77,12 @@ class DiskArcParam:
 
 
 def area_to_theta(a: float, tol: float = 1e-14) -> float:
-    """Invert the area map on (0, π/2) by bisection (the map is monotone)."""
+    """Invert the monotone area map on (0, π/2) by Brent's method."""
     a = float(a)
     if not 0.0 < a <= HALF_PI:
         raise OutOfRange(f"area must lie in (0, pi/2], got {a}")
-    lo, hi = 1e-12, HALF_PI - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if theta_to_area(mid) < a:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return invert_monotone(lambda t: theta_to_area(t) - a,
+                           1e-12, HALF_PI - 1e-15, tol)
 
 
 def profile(a: float) -> float:

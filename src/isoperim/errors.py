@@ -1,12 +1,14 @@
 """Exception taxonomy for the isoperim package.
 
-Domain-precondition failures and numerical failures are kept distinct so the
-CLI can map them to separate exit codes.
+Domain-precondition failures and numerical failures are kept distinct; each
+class carries the CLI exit code of its group in `exit_code`.
 """
 
 
 class IsoperimError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 3  # the precondition group; NumericalError overrides it
 
 
 # --- domain / precondition errors -----------------------------------------
@@ -51,6 +53,8 @@ class NonConvexPerturbation(IsoperimError):
 
 class NumericalError(IsoperimError):
     """Generic numerical failure (tolerance not met, bad bracket, ...)."""
+
+    exit_code = 4
 
 
 class NotPerfect(NumericalError):

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._roots import sign_change_roots
 from .errors import NonConvex, NumericalError
 from .trig import TrigSeries, fit_periodic
 
@@ -345,20 +346,6 @@ def _is_disk_coeffs(curve: SupportCurve, tol: float = SYMMETRY_TOL) -> bool:
     return all(abs(c) <= tol * scale for c in rest)
 
 
-def _bisect_root(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = fn(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if hi - lo < tol:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
     """(dκ/ds, d²κ/ds², d³κ/ds³) at a boundary angle, from the ρ series."""
     rho_s = curve.rho_series
@@ -379,19 +366,13 @@ def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
 
 
 def find_vertices(curve: SupportCurve, n_scan: int = SCAN_NODES):
-    """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan + bisection."""
+    """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan + Brent."""
     rho1 = curve.rho_series.derivative()
     t = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
     vals = rho1(t)
-    roots = []
-    for i in range(n_scan):
-        j = (i + 1) % n_scan
-        a, b = vals[i], vals[j]
-        lo, hi = t[i], t[i] + (TWO_PI / n_scan)
-        if a == 0.0:
-            roots.append(lo)
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(_bisect_root(rho1, lo, hi))
+    # close the periodic scan so the cell that wraps past 2π is searched too
+    roots = sign_change_roots(rho1, np.append(t, TWO_PI),
+                              np.append(vals, vals[0]), 1e-12)
     # dedupe near-identical roots (including wrap-around)
     uniq = []
     wrapped = sorted((x % TWO_PI) - (TWO_PI if (x % TWO_PI) > TWO_PI - 1e-6 else 0.0)

@@ -17,13 +17,13 @@ fits its first and second order in the perturbation size.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import disk as diskmod
 from . import profile as profilemod
+from ._roots import sign_change_roots
 from .errors import (AreaNormalizationFailure, FitIllConditioned,
                      NonConvexPerturbation, OracleFailure, OutOfRange)
 from .geometry import RadialCurve, TWO_PI
@@ -91,11 +91,13 @@ def mean_l(f: PerturbationField, b: float, n_nodes: int = 4096) -> float:
     return float(np.mean(first_variation_l(f, b, u)) * TWO_PI)
 
 
-def mode_condition(n: int, b: float) -> float:
+def mode_condition(n: int, b) -> np.ndarray | float:
     """cos b sin nb − n sin b cos nb; its zeros make mode n profile-critical."""
     if n == 0:
         raise ValueError("mode index must be nonzero")
-    return float(np.cos(b) * np.sin(n * b) - n * np.sin(b) * np.cos(n * b))
+    b = np.asarray(b, dtype=float)
+    out = np.cos(b) * np.sin(n * b) - n * np.sin(b) * np.cos(n * b)
+    return out if b.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -109,30 +111,12 @@ class ModeRoot:
 
 
 def find_mode_roots(n: int, n_scan: int = 10_000, delta: float = 1e-6) -> list:
-    """All roots of the mode condition in (0, π/2), bisected to 1e-13."""
+    """All roots of the mode condition in (0, π/2): grid scan + Brent to 1e-13."""
     if n < 2:
         raise ValueError("nontrivial modes start at n = 2 (n = 1 is translation)")
     grid = np.linspace(delta, HALF_PI - delta, n_scan)
-    vals = np.array([mode_condition(n, b) for b in grid])
-    roots = []
-    for i in range(n_scan - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if (va < 0.0) != (vb < 0.0):
-            lo, hi = grid[i], grid[i + 1]
-            flo = mode_condition(n, lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = mode_condition(n, mid)
-                if (flo < 0.0) == (fm < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo < 1e-13:
-                    break
-            roots.append(0.5 * (lo + hi))
+    roots = sign_change_roots(lambda b: mode_condition(n, b), grid,
+                              mode_condition(n, grid), 1e-13)
     return [ModeRoot(n=n, b=r, theta=r, area=diskmod.theta_to_area(r))
             for r in roots]
 
@@ -230,7 +214,6 @@ class ExperimentConfig:
     s_grid: tuple = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3)
     oracle_tol: float = 1e-6
     oracle: profilemod.OracleConfig = field(default_factory=profilemod.OracleConfig)
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -283,11 +266,7 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
         except Exception as exc:  # noqa: BLE001 - surfaced with context
             raise OracleFailure(f"profile oracle failed at s={s}: {exc}") from exc
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as tpe:
-            values = tuple(tpe.map(profile_at, s_values))
-    else:
-        values = tuple(profile_at(s) for s in s_values)
+    values = tuple(profile_at(s) for s in s_values)
 
     i_disk = diskmod.profile(area)
     if abs(values[0] - i_disk) > config.oracle_tol:

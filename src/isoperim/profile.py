@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize_scalar
 
 from . import arcs as arcsmod
 from . import disk as diskmod
+from ._roots import invert_monotone
 from .errors import IsDisk, NoArcAtArea, NotClassA, NotNormalized, NumericalError
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify
 
@@ -164,19 +165,12 @@ def family_area_at(curve: SupportCurve, theta: float) -> float:
 
 def family_theta_at_area(curve: SupportCurve, target: float,
                          tol: float = 1e-13) -> float:
-    """Invert A(θ) for the symmetric family by bisection (A is monotone)."""
+    """Invert the monotone A(θ) of the symmetric family by Brent's method."""
     lo, hi = 1e-9, HALF_PI
     if not family_area_at(curve, lo) <= target <= curve.area() / 2.0 + 1e-12:
         raise NoArcAtArea(f"area {target} outside the symmetric family range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if family_area_at(curve, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return invert_monotone(lambda th: family_area_at(curve, th) - target,
+                           lo, hi, tol)
 
 
 # --------------------------------------------------------------------------
@@ -203,27 +197,6 @@ class ConjectureReport:
             "area_floor": self.area_floor,
             "stationarity_residual": self.stationarity_residual,
         }
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 120):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-12 * max(1.0, abs(b)):
-            break
-    x = 0.5 * (a + b)
-    return x, fn(x)
 
 
 def conjecture_check(curve: SupportCurve, n_samples: int = 256,
@@ -265,7 +238,10 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
     lo = a_samp[max(0, i_max - 1)]
     hi = a_samp[min(len(a_samp) - 1, i_max + 1)]
     lo = max(lo, area_floor)
-    a_star, r_star = _golden_max(ratio, float(lo), float(hi))
+    res = minimize_scalar(lambda a: -ratio(a), bounds=(float(lo), float(hi)),
+                          method="bounded",
+                          options={"xatol": 1e-12 * max(1.0, float(hi))})
+    a_star, r_star = float(res.x), -float(res.fun)
     if r_samp[i_max] > r_star:
         a_star, r_star = float(a_samp[i_max]), float(r_samp[i_max])
 
@@ -302,17 +278,16 @@ class OracleConfig:
     exclusion: float = 1e-2
     area_tol: float = 1e-12
     circle_residual_tol: float = 1e-10
-    threads: int = 1
 
 
 def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     """Profile of a circle-like domain (every endpoint pair is perfect).
 
     For fixed s1 the enclosed area grows monotonically with the sweep to s2,
-    so the arc at the target area comes from plain bisection; the geometric
-    construction (not the closed form) supplies lengths and areas. Sweeps
-    below ~1e-6 are ill-conditioned (near-parallel tangent lines) and are
-    never needed for the supported target range.
+    so the arc at the target area comes from a bracketed Brent solve; the
+    geometric construction (not the closed form) supplies lengths and areas.
+    Sweeps below ~1e-6 are ill-conditioned (near-parallel tangent lines) and
+    are never needed for the supported target range.
     """
     def area_at(s1, sweep):
         return arcsmod.build_arc(curve, s1, s1 + sweep,
@@ -329,15 +304,8 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
             hi = TWO_PI - (TWO_PI - hi) * 0.25
             if TWO_PI - hi < 1e-6:
                 raise NoArcAtArea(f"target area {target} too large to bracket")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if area_at(s1, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        best = min(best, arcsmod.build_arc(curve, s1, s1 + 0.5 * (lo + hi)).length)
+        sweep = invert_monotone(lambda w: area_at(s1, w) - target, lo, hi, 1e-13)
+        best = min(best, arcsmod.build_arc(curve, s1, s1 + sweep).length)
     if not np.isfinite(best):
         raise NoArcAtArea(f"no circle arc at area {target}")
     return float(best)
@@ -395,15 +363,8 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     step = TWO_PI / config.n_s1
     s1_grid = (np.arange(config.n_s1) + 0.5) * step
 
-    def roots_for(s1):
-        return arcsmod.scan_arc_roots(curve, float(s1), config.n_scan,
-                                      config.exclusion)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as tpe:
-            all_roots = list(tpe.map(roots_for, s1_grid))
-    else:
-        all_roots = [roots_for(s1) for s1 in s1_grid]
+    all_roots = [arcsmod.scan_arc_roots(curve, float(s1), config.n_scan,
+                                        config.exclusion) for s1 in s1_grid]
     offsets = [np.array(r) - s1_grid[i] for i, r in enumerate(all_roots)]
 
     # root offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so the

@@ -66,12 +66,22 @@ def test_profile_disk_has_quarter_pi_row(tmp_path, capsys):
 
 
 def test_profile_rerun_byte_identical(tmp_path, capsys):
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["profile", "--preset", "ellipse", "--a", str(SQRT2),
-            "--b", str(1.0 / SQRT2), "--samples", "64"]
-    assert run_cli(args + ["-o", str(f1)], capsys)[0] == 0
-    assert run_cli(args + ["-o", str(f2)], capsys)[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    for command in ("profile", "check-conjecture"):
+        f1, f2 = tmp_path / f"{command}1.out", tmp_path / f"{command}2.out"
+        args = [command, "--preset", "ellipse", "--a", str(SQRT2),
+                "--b", str(1.0 / SQRT2), "--samples", "64"]
+        assert run_cli(args + ["-o", str(f1)], capsys)[0] == 0
+        assert run_cli(args + ["-o", str(f2)], capsys)[0] == 0
+        assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_samples_below_two_exits_2(capsys):
+    for command in ("profile", "check-conjecture"):
+        for samples in ("0", "1"):
+            code, _, err = run_cli([command, "--preset", "disk",
+                                    "--samples", samples], capsys)
+            assert code == 2
+            assert "--samples" in err
 
 
 def test_profile_not_class_a_exits_3(capsys):
@@ -96,6 +106,13 @@ def test_check_conjecture_ellipse(capsys):
 
 def test_check_conjecture_disk_exits_3(capsys):
     code, _, err = run_cli(["check-conjecture", "--preset", "disk"], capsys)
+    assert code == 3
+    assert "precondition" in err
+
+
+def test_nonconvex_perturbation_exits_3(capsys):
+    code, _, err = run_cli(["perturb", "experiment", "--mode", "2",
+                            "--s-max", "0.5"], capsys)
     assert code == 3
     assert "precondition" in err
 
@@ -159,28 +176,6 @@ def test_flags_override_spec_file(tmp_path, capsys):
          "--a", str(SQRT2), "--b", str(1.0 / SQRT2)], capsys)
     assert code == 0
     assert json.loads(out)["area"] == pytest.approx(np.pi, abs=1e-9)
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    f1, f2 = tmp_path / "e1.json", tmp_path / "e2.json"
-    base = ["check-conjecture", "--preset", "ellipse",
-            "--a", str(SQRT2), "--b", str(1.0 / SQRT2), "--samples", "48"]
-    monkeypatch.setenv("ISOPERIM_THREADS", "3")
-    assert cli.main(base + ["-o", str(f1)]) == 0
-    monkeypatch.delenv("ISOPERIM_THREADS")
-    assert cli.main(base + ["-o", str(f2)]) == 0
-    capsys.readouterr()
-    assert f1.read_bytes() == f2.read_bytes()
-
-
-def test_threads_flag_identical_output(tmp_path, capsys):
-    f1, f2 = tmp_path / "t1.json", tmp_path / "t2.json"
-    base = ["check-conjecture", "--preset", "ellipse",
-            "--a", str(SQRT2), "--b", str(1.0 / SQRT2), "--samples", "48"]
-    assert cli.main(["--threads", "1"] + base + ["-o", str(f1)]) == 0
-    assert cli.main(["--threads", "4"] + base + ["-o", str(f2)]) == 0
-    capsys.readouterr()
-    assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_experiment_cli_smoke(tmp_path, capsys):

@@ -43,6 +43,8 @@ def test_inversion_roundtrip():
     for theta in (0.01, 0.3, np.pi / 4.0, 1.3, HALF_PI - 1e-4):
         a = disk.theta_to_area(theta)
         assert disk.area_to_theta(a) == pytest.approx(theta, abs=1e-12)
+    # the end of the range: theta_to_area stays ~1e-15 below pi/2 there
+    assert disk.area_to_theta(HALF_PI) == pytest.approx(HALF_PI, abs=1e-12)
 
 
 def test_profile_values():

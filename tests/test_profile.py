@@ -40,8 +40,12 @@ def test_tables_monotone(class_a_suite):
         assert np.all(np.diff(table.length) > 0.0), name
 
 
-def test_table_ends_at_half_area(ellipse_table):
+def test_table_ends_at_half_area(ellipse_table, ellipse_main):
     assert ellipse_table.theta[-1] == pytest.approx(HALF_PI, abs=1e-15)
+    # A(π/2) lands ~1e-16 below |Ω|/2 in rounding; the inverse must still
+    # return the end of the family
+    theta = prof.family_theta_at_area(ellipse_main, ellipse_main.area() / 2.0)
+    assert theta == pytest.approx(HALF_PI, abs=1e-12)
     assert ellipse_table.length[-1] == pytest.approx(SQRT2, abs=1e-10)
     assert ellipse_table.area[-1] == pytest.approx(HALF_PI, abs=1e-10)
     assert ellipse_table.arc_curvature[-1] == pytest.approx(0.0, abs=1e-12)
@@ -179,14 +183,6 @@ def test_oracle_profile_symmetry(ellipse_main):
 def test_oracle_rejects_bad_area(unit_disk):
     with pytest.raises(NoArcAtArea):
         prof.general_profile_oracle(unit_disk, 4.0)
-
-
-def test_oracle_threads_deterministic(ellipse_main):
-    base = prof.general_profile_oracle(ellipse_main, 1.0,
-                                       prof.OracleConfig(threads=1))
-    para = prof.general_profile_oracle(ellipse_main, 1.0,
-                                       prof.OracleConfig(threads=4))
-    assert base == para
 
 
 # --- small-area asymptotics -----------------------------------------------------
