@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import disk as diskmod
+# before disk, else a full gc lands inside scipy's import and set-up slows
 from ._roots import sign_change_roots
+from . import disk as diskmod
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
                      NotPerfect)
@@ -277,7 +277,7 @@ def max_two_point_residual(curve: PlaneBoundary, n: int = 24) -> float:
 
 def _correct_s2(curve: PlaneBoundary, s1: float, s2_guess: float,
                 bracket_halfwidth: float) -> float:
-    """1-D Newton on s2 holding f(s1, ·) = 0, bisection scan as fallback.
+    """1-D Newton on s2 holding f(s1, ·) = 0, bracketing scan as fallback.
 
     Convergence is judged on the Newton step, not only on |f|: near a vertex
     ∂f/∂s2 scales like the cube of the endpoint offset, so a fixed |f| floor
@@ -306,13 +306,11 @@ def _correct_s2(curve: PlaneBoundary, s1: float, s2_guess: float,
         return best[1]
     # bracketing scan around the prediction
     grid = s2_guess + np.linspace(-bracket_halfwidth, bracket_halfwidth, 41)
-    vals = np.array([two_point_f(curve, s1, g) for g in grid])
-    sign = np.signbit(vals)
-    for i in range(len(grid) - 1):
-        if sign[i] != sign[i + 1]:
-            return float(brentq(lambda s: two_point_f(curve, s1, s),
-                                grid[i], grid[i + 1], xtol=1e-14))
-    raise NoConvergence(f"corrector failed at s1={s1:.6f}")
+    roots = sign_change_roots(lambda s: two_point_f(curve, s1, s), grid,
+                              two_point_f_many(curve, s1, grid), 1e-14)
+    if not roots:
+        raise NoConvergence(f"corrector failed at s1={s1:.6f}")
+    return roots[0]
 
 
 def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,

@@ -84,11 +84,18 @@ def _samples(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 def _add_domain_args(p):
     p.add_argument("--preset", choices=["disk", "ellipse"])
-    p.add_argument("--a", type=float, help="ellipse semi-axis on x")
-    p.add_argument("--b", type=float, help="ellipse semi-axis on y")
-    p.add_argument("--radius", type=float, help="disk radius")
+    p.add_argument("--a", type=_finite, help="ellipse semi-axis on x")
+    p.add_argument("--b", type=_finite, help="ellipse semi-axis on y")
+    p.add_argument("--radius", type=_finite, help="disk radius")
     p.add_argument("--spec", help="path to a JSON domain spec")
     p.add_argument("--spec-json", help="inline JSON domain spec")
 
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arcs-find", help="perfect arcs from a boundary point")
     _add_domain_args(p)
-    p.add_argument("--s1", type=float, required=True,
+    p.add_argument("--s1", type=_finite, required=True,
                    help="first endpoint (normal angle, radians)")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--output", "-o")
@@ -229,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = psub.add_parser("experiment", help="profile-decrease fit for cos(n u)")
     pe.add_argument("--mode", type=int, required=True)
-    pe.add_argument("--area", type=float,
+    pe.add_argument("--area", type=_finite,
                     help="target area (default: the mode's critical area)")
-    pe.add_argument("--s-max", type=float, default=5e-3)
+    pe.add_argument("--s-max", type=_finite, default=5e-3)
     pe.add_argument("--s-steps", type=int, default=5)
     pe.add_argument("--grid", type=int, default=96)
     pe.add_argument("--output", "-o")
@@ -239,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("implicit-curve",
                        help="zero set of the mode condition (CSV points)")
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=8.0)
-    p.add_argument("--ymin", type=float, default=0.01)
-    p.add_argument("--ymax", type=float, default=1.56)
+    p.add_argument("--xmin", type=_finite, default=None)
+    p.add_argument("--xmax", type=_finite, default=8.0)
+    p.add_argument("--ymin", type=_finite, default=0.01)
+    p.add_argument("--ymax", type=_finite, default=1.56)
     p.add_argument("--resolution", type=int, default=400)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_implicit_curve)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import sign_change_roots
+from ._roots import invert_monotone, sign_change_roots
 from .errors import NonConvex, NumericalError
 from .trig import TrigSeries, fit_periodic
 
@@ -97,6 +97,8 @@ class SupportCurve(PlaneBoundary):
         self.sin_coeffs = tuple(float(c) for c in sin_coeffs)
         if not self.cos_coeffs:
             raise ValueError("need at least the constant support coefficient")
+        if not np.all(np.isfinite(self.cos_coeffs + self.sin_coeffs)):
+            raise ValueError("support coefficients must be finite")
 
     # --- series ------------------------------------------------------------
 
@@ -219,16 +221,16 @@ class SupportCurve(PlaneBoundary):
         return self.rho_series.integral_between(t0, t1)
 
     def theta_at_arclength(self, theta_ref: float, s: float) -> float:
-        """Invert the arclength map from theta_ref (guarded Newton)."""
+        """Invert the arclength map from theta_ref by Brent's method.
+
+        ds/dθ = ρ ≥ min ρ, so the root lies between theta_ref and
+        theta_ref + s/min ρ.
+        """
         self.require_convex()
-        lo_rho = self._min_rho
-        theta = theta_ref + s / max(self.rho(theta_ref), lo_rho)
-        for _ in range(100):
-            g = self.arclength_between(theta_ref, theta) - s
-            step = g / self.rho(theta)
-            theta -= step
-            if abs(step) < 1e-15 * max(1.0, abs(theta)):
-                break
+        far = theta_ref + s / self._min_rho
+        theta = invert_monotone(
+            lambda t: self.arclength_between(theta_ref, t) - s,
+            min(theta_ref, far), max(theta_ref, far), 1e-15)
         if abs(self.arclength_between(theta_ref, theta) - s) > 1e-11:
             raise NumericalError("arclength inversion did not converge")
         return float(theta)

@@ -254,6 +254,8 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     and β < 0, and no_decrease when the profile is flat within 5·tol
     (rigid motions).
     """
+    if not 0.0 < area < np.pi:
+        raise OutOfRange(f"target area must lie in (0, pi), got {area}")
     s_values = (0.0,) + tuple(float(s) for s in config.s_grid)
     if len(s_values) < 4:
         raise FitIllConditioned("need at least three nonzero s values")

@@ -276,7 +276,6 @@ class OracleConfig:
     n_s1: int = 96
     n_scan: int = 512
     exclusion: float = 1e-2
-    area_tol: float = 1e-12
     circle_residual_tol: float = 1e-10
 
 
@@ -311,35 +310,21 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     return float(best)
 
 
-def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, complement,
-                      total, area_tol):
-    """Bisect in s1 along a matched branch until the arc area hits target."""
-    def area_at(s1, s2_seed):
+def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target):
+    """Length of the arc at `target` area on a branch segment whose end areas
+    straddle it; s2 is interpolated between the ends and corrected onto
+    f = 0, so the area is a function of s1 and Brent's method solves it."""
+    def arc_at(s1):
+        s2_seed = np.interp(s1, (s1_a, s1_b), (s2_a, s2_b))
         s2 = arcsmod._correct_s2(curve, s1, s2_seed, 0.2)
         lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
         if not 0.0 < hi - lo < TWO_PI:
             raise NoArcAtArea("branch left the parameter window")
-        arc = arcsmod.build_arc(curve, lo, hi, check_containment=False)
-        a = arc.enclosed_area
-        return (total - a if complement else a), arc, s2
+        return arcsmod.build_arc(curve, lo, hi, check_containment=False)
 
-    fa, _, s2_a = area_at(s1_a, s2_a)
-    fb, _, s2_b = area_at(s1_b, s2_b)
-    if (fa - target) * (fb - target) > 0.0:
-        return None
-    lo_s, hi_s = s1_a, s1_b
-    s2_lo, s2_hi = s2_a, s2_b
-    arc_mid = None
-    for _ in range(200):
-        mid = 0.5 * (lo_s + hi_s)
-        f_mid, arc_mid, s2_mid = area_at(mid, 0.5 * (s2_lo + s2_hi))
-        if (f_mid - target) * (fa - target) > 0.0:
-            lo_s, s2_lo, fa = mid, s2_mid, f_mid
-        else:
-            hi_s, s2_hi = mid, s2_mid
-        if abs(f_mid - target) < area_tol or hi_s - lo_s < 1e-14:
-            break
-    return arc_mid.length if arc_mid is not None else None
+    s1 = invert_monotone(lambda s: arc_at(s).enclosed_area - target,
+                         s1_a, s1_b, 1e-14)
+    return arc_at(s1).length
 
 
 def general_profile_oracle(curve: PlaneBoundary, target_area: float,
@@ -347,9 +332,11 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     """Brute-force profile value: enumerate perfect arcs, refine at the area.
 
     Scans s1 over the boundary, finds every s2 root of the two-point
-    function, matches roots across neighboring s1 into branches, and
-    bisects each branch segment whose (area, complement-area) interval
-    straddles the target. Independent of every closed form in the package.
+    function and the area of its arc, and matches roots across neighboring
+    s1 into branches. An arc's complement has the same length and area
+    |Ω| − A, so each branch segment whose end areas straddle the target or
+    |Ω| − target is refined by Brent's method in s1. Independent of every
+    closed form in the package.
     """
     total = curve.area()
     if not 0.0 < target_area < total:
@@ -363,40 +350,41 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     step = TWO_PI / config.n_s1
     s1_grid = (np.arange(config.n_s1) + 0.5) * step
 
-    all_roots = [arcsmod.scan_arc_roots(curve, float(s1), config.n_scan,
-                                        config.exclusion) for s1 in s1_grid]
-    offsets = [np.array(r) - s1_grid[i] for i, r in enumerate(all_roots)]
+    offsets, areas = [], []  # per s1 slice: root offsets s2 - s1, arc areas
+    for s1 in s1_grid:
+        roots = arcsmod.scan_arc_roots(curve, float(s1), config.n_scan,
+                                       config.exclusion)
+        offsets.append(np.array(roots) - s1)
+        areas.append(np.array([arcsmod.build_arc(
+            curve, s1, r, check_containment=False).enclosed_area for r in roots]))
 
     # root offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so the
     # matching radius must scale with the s1 step, not the s2 scan step
     match_radius = 3.0 * step
+    targets = {target_area, total - target_area}
     best = np.inf
-    found_any = False
     for i in range(config.n_s1):
         s1_a = float(s1_grid[i])
-        for off_a in offsets[i]:
-            matched = None
+        for off_a, area_a in zip(offsets[i], areas[i]):
             for skip in (1, 2):  # bridge one missing slice on a branch
                 j = (i + skip) % config.n_s1
-                cands = offsets[j][np.abs(offsets[j] - off_a) < match_radius * skip]
-                if len(cands):
-                    off_b = float(cands[np.argmin(np.abs(cands - off_a))])
-                    matched = (s1_a + skip * step, off_b)
+                dist = np.abs(offsets[j] - off_a)
+                if np.any(dist < match_radius * skip):
+                    k = int(np.argmin(dist))
                     break
-            if matched is None:
+            else:
                 continue
-            s1_b, off_b = matched
-            for complement in (False, True):
+            s1_b, off_b, area_b = s1_a + skip * step, offsets[j][k], areas[j][k]
+            for target in targets:
+                if (area_a - target) * (area_b - target) > 0.0:
+                    continue
                 try:
                     length = _refine_on_branch(
-                        curve, s1_a, s1_a + off_a, s1_b, s1_b + off_b,
-                        target_area, complement, total, config.area_tol)
-                except (NumericalError, ValueError):
+                        curve, s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
+                except NumericalError:
                     continue
-                if length is not None:
-                    found_any = True
-                    best = min(best, length)
-    if not found_any:
+                best = min(best, length)
+    if not np.isfinite(best):
         raise NoArcAtArea(
             f"no arc family crossed area {target_area}; refine the grid")
     return float(best)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoperim import arcs, disk
-from isoperim.errors import (CoincidentPoints, DegenerateVertex, NotAVertex,
-                             NotPerfect)
+from isoperim.errors import (CoincidentPoints, DegenerateVertex, NoConvergence,
+                             NotAVertex, NotPerfect)
 from isoperim.geometry import SupportCurve
 
 SQRT2 = np.sqrt(2.0)
@@ -202,6 +202,17 @@ def test_scan_drops_spurious_antipodal(ellipse_main):
     # the line s2 = s1 + pi zeroes f identically but is not a perfect chord
     roots = arcs.scan_arc_roots(ellipse_main, 0.3)
     assert all(abs((r - 0.3) - np.pi) > 1e-3 for r in roots)
+
+
+def test_corrector_scan_fallback_recovers_scan_roots(monkeypatch, fourier_domain):
+    # no Newton step: every correction goes through the bracketing scan
+    monkeypatch.setattr(arcs, "NEWTON_MAX_ITER", 0)
+    for s1 in (0.3, 1.0):
+        for root in arcs.scan_arc_roots(fourier_domain, s1):
+            got = arcs._correct_s2(fourier_domain, s1, root + 0.05, 0.2)
+            assert got == pytest.approx(root, abs=1e-12)
+    with pytest.raises(NoConvergence):
+        arcs._correct_s2(fourier_domain, 0.3, 0.3 + np.pi / 2.0, 0.1)
 
 
 # --- continuation ------------------------------------------------------------

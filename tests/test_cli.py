@@ -37,9 +37,16 @@ def test_domain_info_ellipse_flags(capsys):
 def test_malformed_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(["domain-info", "--spec", str(bad)], capsys)
-    assert code == 2
-    assert err.strip()
+    for args in (["domain-info", "--spec", str(bad)],
+                 ["domain-info", "--spec-json", '{"support_cos": [NaN]}'],
+                 ["domain-info", "--preset", "ellipse", "--a", "nan", "--b", "1"],
+                 ["domain-info", "--preset", "disk", "--radius", "nan"],
+                 ["arcs-find", "--preset", "disk", "--s1", "nan"],
+                 ["implicit-curve", "--xmax", "nan"],
+                 ["implicit-curve", "--ymin", "inf"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert not out and err.strip()
 
 
 def test_missing_domain_exits_2(capsys):
@@ -111,10 +118,11 @@ def test_check_conjecture_disk_exits_3(capsys):
 
 
 def test_nonconvex_perturbation_exits_3(capsys):
-    code, _, err = run_cli(["perturb", "experiment", "--mode", "2",
-                            "--s-max", "0.5"], capsys)
-    assert code == 3
-    assert "precondition" in err
+    for flag, value in (("--s-max", "0.5"), ("--area", "5"), ("--area", "-1")):
+        code, _, err = run_cli(["perturb", "experiment", "--mode", "2",
+                                flag, value], capsys)
+        assert code == 3
+        assert "precondition" in err
 
 
 def test_check_conjecture_near_disk(capsys):

@@ -204,7 +204,7 @@ def test_arclength_derivatives_at_vertex(ellipse_main):
 
 
 def test_arclength_inversion_roundtrip(ellipse_main):
-    for theta in (0.3, 1.2, 4.0):
+    for theta in (0.3, 1.2, 4.0, -0.5):  # θ < θ_ref: negative s
         s = ellipse_main.arclength_between(0.1, theta)
         back = ellipse_main.theta_at_arclength(0.1, s)
         assert back == pytest.approx(theta, abs=1e-12)

@@ -171,6 +171,7 @@ def test_oracle_envelope_below_family(ellipse_main):
         theta = prof.family_theta_at_area(ellipse_main, a)
         fam = float(prof._family_length(ellipse_main, np.array([theta]))[0])
         assert got <= fam + 1e-6
+        assert abs(got - fam) < 1e-12  # the refinement converged
 
 
 def test_oracle_profile_symmetry(ellipse_main):
