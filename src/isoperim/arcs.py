@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize.elementwise import find_root
 
 # before disk, else a full gc lands inside scipy's import and set-up slows
 from ._roots import sign_change_roots
@@ -31,6 +32,9 @@ from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
 SEGMENT_NORMAL_TOL = 1e-8
 NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# grid points per block of the batched root scan; bounds its memory
+SCAN_BLOCK_POINTS = 4096
+XRTOL = 4.0 * np.finfo(float).eps  # brentq's default rtol
 
 
 def _cross(a, b):
@@ -62,40 +66,49 @@ class TwoPointState:
     grad: tuple
 
 
-def two_point_f(curve: PlaneBoundary, s1: float, s2: float) -> float:
-    """(C1 − C2)·(N1 + N2); zero (with N1 + N2 ≠ 0) certifies a circular arc."""
-    if abs((s1 - s2) % TWO_PI) < 1e-14 or abs((s1 - s2) % TWO_PI) > TWO_PI - 1e-14:
-        raise CoincidentPoints(f"s1 = s2 = {s1} mod 2pi")
-    s = curve.sample(np.array([s1, s2], dtype=float))
-    dc = s.position[0] - s.position[1]
-    return float(np.dot(dc, s.normal[0] + s.normal[1]))
+def two_point_eval(curve: PlaneBoundary, s1, s2) -> tuple:
+    """(f, ∂f/∂s1, ∂f/∂s2, speed at s1, speed at s2) from one boundary sample.
 
-
-def two_point_f_many(curve: PlaneBoundary, s1: float, s2_arr) -> np.ndarray:
-    """Vectorized two-point values for a fixed s1 against many s2."""
-    s2_arr = np.asarray(s2_arr, dtype=float)
-    p1 = curve.sample(np.array([s1], dtype=float))
-    s2 = curve.sample(s2_arr)
-    dc = p1.position[0] - s2.position
-    nsum = p1.normal[0] + s2.normal
-    return np.einsum("ij,ij->i", dc, nsum)
-
-
-def two_point_grad(curve: PlaneBoundary, s1: float, s2: float) -> tuple:
-    """Arclength partials (∂f/∂s1, ∂f/∂s2) of the two-point function.
-
-    With outward normal N = (cos θ, sin θ) and T the CCW unit tangent,
-    dC/ds = T and dN/ds = κT, so
+    f = (C1 − C2)·(N1 + N2). s1 and s2 broadcast against each other; each is
+    sampled at its own shape. With outward normal N = (cos θ, sin θ) and T
+    the CCW unit tangent, dC/ds = T and dN/ds = κT, so the arclength partials
+    are
         ∂f/∂s1 = T1·N2 + κ1 (C1 − C2)·T1,
         ∂f/∂s2 = −T2·N1 + κ2 (C1 − C2)·T2.
     """
-    s = curve.sample(np.array([s1, s2], dtype=float))
-    dc = s.position[0] - s.position[1]
-    g1 = float(np.dot(s.tangent[0], s.normal[1])
-               + s.curvature[0] * np.dot(dc, s.tangent[0]))
-    g2 = float(-np.dot(s.tangent[1], s.normal[0])
-               + s.curvature[1] * np.dot(dc, s.tangent[1]))
-    return (g1, g2)
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]))
+    (c1, c2), (t1, t2), (n1, n2), (k1, k2), (w1, w2) = (
+        (a[:s1.size].reshape(s1.shape + a.shape[1:]),
+         a[s1.size:].reshape(s2.shape + a.shape[1:]))
+        for a in (s.position, s.tangent, s.normal, s.curvature, s.speed))
+    dot = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    dc = c1 - c2
+    return (dot(dc, n1 + n2), dot(t1, n2) + k1 * dot(dc, t1),
+            -dot(t2, n1) + k2 * dot(dc, t2), w1, w2)
+
+
+def _require_distinct(s1: float, s2: float):
+    gap = (s1 - s2) % TWO_PI
+    if min(gap, TWO_PI - gap) < 1e-14:
+        raise CoincidentPoints(f"s1 = s2 = {s1} mod 2pi")
+
+
+def two_point_f(curve: PlaneBoundary, s1: float, s2: float) -> float:
+    """(C1 − C2)·(N1 + N2); zero (with N1 + N2 ≠ 0) certifies a circular arc."""
+    _require_distinct(s1, s2)
+    return float(two_point_eval(curve, s1, s2)[0])
+
+
+def two_point_f_many(curve: PlaneBoundary, s1, s2_arr) -> np.ndarray:
+    """Vectorized two-point values; s1 broadcasts against s2_arr."""
+    return two_point_eval(curve, s1, s2_arr)[0]
+
+
+def two_point_grad(curve: PlaneBoundary, s1: float, s2: float) -> tuple:
+    """Arclength partials (∂f/∂s1, ∂f/∂s2) of the two-point function."""
+    _, g1, g2, _, _ = two_point_eval(curve, s1, s2)
+    return (float(g1), float(g2))
 
 
 def two_point_state(curve: PlaneBoundary, s1: float, s2: float) -> TwoPointState:
@@ -106,14 +119,9 @@ def two_point_state(curve: PlaneBoundary, s1: float, s2: float) -> TwoPointState
 
 def is_degenerate_pair(curve: PlaneBoundary, s1: float, s2: float,
                        tol: float = 1e-9) -> bool:
-    """Both partials vanish iff κ1(C1−C2) = N1 − N2 = κ2(C1−C2)."""
-    s = curve.sample(np.array([s1, s2], dtype=float))
-    dc = s.position[0] - s.position[1]
-    dn = s.normal[0] - s.normal[1]
-    scale = max(1.0, float(np.hypot(*dc)))
-    r1 = np.linalg.norm(s.curvature[0] * dc - dn)
-    r2 = np.linalg.norm(s.curvature[1] * dc - dn)
-    return bool(r1 < tol * scale and r2 < tol * scale)
+    """Both arclength partials of f vanish (to tol; they are scale-free)."""
+    g1, g2 = two_point_grad(curve, s1, s2)
+    return abs(g1) < tol and abs(g2) < tol
 
 
 def _wrap_mod_pi(x: float) -> float:
@@ -234,41 +242,55 @@ def _sample_containment(curve, a_pt, b_pt, alpha, tol, n: int = 33):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
-def scan_arc_roots(curve: PlaneBoundary, s1: float, n_scan: int = 512,
-                   exclusion: float = 1e-2) -> list:
+def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
+                   exclusion: float = 1e-2):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
-    Sign-change scan + Brent refinement. Crossings where the normals are
-    anti-parallel are kept only if the chord is aligned with them (a perfect
-    chord); otherwise f vanishes for the wrong reason and the root is spurious.
+    s1 may be a 1-D array, giving one root list per slice; a scalar s1 gives
+    its list alone. The (s1, s2) grid is scanned for sign changes in blocks
+    of slices, and every bracket is refined in one Chandrupatla solve
+    (`find_root`, the vectorized counterpart of `sign_change_roots`' rules).
+    Crossings where the normals are anti-parallel are kept only if the chord
+    is aligned with them (a perfect chord); otherwise f vanishes for the
+    wrong reason and the root is spurious.
     """
-    offs = np.linspace(exclusion, TWO_PI - exclusion, n_scan)
-    s2_grid = s1 + offs
-    vals = two_point_f_many(curve, s1, s2_grid)
-    roots = sign_change_roots(lambda s2: two_point_f(curve, s1, s2),
-                              s2_grid, vals, 1e-13)
-    good = []
-    for r in roots:
-        s = curve.sample(np.array([s1, r], dtype=float))
-        n_sum = s.normal[0] + s.normal[1]
-        if float(np.hypot(*n_sum)) < SEGMENT_NORMAL_TOL:
-            chord = s.position[0] - s.position[1]
-            chord /= np.hypot(*chord)
-            if abs(_cross(chord, s.normal[0])) > SEGMENT_NORMAL_TOL:
-                continue
-        if all(abs(r - g) > 1e-9 for g in good):
-            good.append(r)
-    return good
+    s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
+    grid = s1_arr[:, None] + np.linspace(exclusion, TWO_PI - exclusion, n_scan)
+    step = max(1, SCAN_BLOCK_POINTS // max(n_scan, 1))
+    vals = np.concatenate([
+        two_point_f_many(curve, s1_arr[i:i + step, None], grid[i:i + step])
+        for i in range(0, len(s1_arr), step)])
+    neg = vals < 0.0
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
+    lo, hi = grid[row, col], grid[row, col + 1]
+    f_lo, f_hi = vals[row, col], vals[row, col + 1]
+    res = find_root(lambda x, s: two_point_f_many(curve, s, x), (lo, hi),
+                    args=(s1_arr[row],),
+                    tolerances=dict(xatol=1e-13, xrtol=XRTOL))
+    if np.any(res.status < -1):
+        raise NoConvergence("vectorized root refinement did not converge")
+    # status -1: the solver's end values share a sign where the scan's did
+    # not, so the root lies on a node to rounding; an exact zero stays put
+    node = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    roots = np.where(f_lo == 0.0, lo, np.where(res.status == -1, node, res.x))
+    s = curve.sample(np.concatenate([s1_arr[row], roots]))
+    n1, n2 = np.split(s.normal, 2)
+    chord = np.subtract(*np.split(s.position, 2))
+    spurious = ((np.hypot(*(n1 + n2).T) < SEGMENT_NORMAL_TOL)
+                & (np.abs(_cross(chord, n1))
+                   > SEGMENT_NORMAL_TOL * np.hypot(*chord.T)))
+    good = [[] for _ in s1_arr]
+    for i, r in zip(row[~spurious], roots[~spurious]):
+        if not good[i] or r - good[i][-1] > 1e-9:  # roots ascend per slice
+            good[i].append(float(r))
+    return good if np.ndim(s1) else good[0]
 
 
 def max_two_point_residual(curve: PlaneBoundary, n: int = 24) -> float:
     """max |f| over a coarse endpoint-pair grid; ~0 exactly for circles."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    worst = 0.0
-    for s1 in t:
-        vals = two_point_f_many(curve, float(s1), s1 + np.linspace(0.3, TWO_PI - 0.3, n))
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    t = np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
+    vals = two_point_f_many(curve, t, t + np.linspace(0.3, TWO_PI - 0.3, n))
+    return float(np.max(np.abs(vals)))
 
 
 # --------------------------------------------------------------------------
@@ -286,13 +308,13 @@ def _correct_s2(curve: PlaneBoundary, s1: float, s2_guess: float,
     s2 = s2_guess
     best = (np.inf, s2)
     for _ in range(NEWTON_MAX_ITER):
-        f = two_point_f(curve, s1, s2)
+        _require_distinct(s1, s2)
+        f, _, g2, _, w2 = two_point_eval(curve, s1, s2)
+        f, g2 = float(f), float(g2 * w2)  # to a parameter derivative
         if abs(f) < best[0]:
             best = (abs(f), s2)
         if f == 0.0:
             return s2
-        _, g2 = two_point_grad(curve, s1, s2)
-        g2 *= float(curve.speed(s2)[0])  # to a parameter derivative
         if abs(g2) < 1e-300:
             break
         step = f / g2
@@ -333,10 +355,8 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
     arcs = []
     s1, s2 = seed.s1, seed.s2
     for _ in range(steps):
-        g1, g2 = two_point_grad(curve, s1, s2)
-        w = curve.speed(np.array([s1, s2]))
-        g1 *= float(w[0])
-        g2 *= float(w[1])
+        _, g1, g2, w1, w2 = two_point_eval(curve, s1, s2)
+        g1, g2 = float(g1 * w1), float(g2 * w2)  # to parameter derivatives
         if abs(g1) < 1e-12 and abs(g2) < 1e-12:
             break  # degenerate: stop early
         s1_next = s1 + ds

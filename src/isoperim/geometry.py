@@ -167,9 +167,8 @@ class SupportCurve(PlaneBoundary):
 
     def sample(self, theta) -> CurveSamples:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        h = self.h_series(theta)
-        hp = self._h_prime(theta)
-        rho = self.rho_series(theta)
+        h, hp, rho = TrigSeries.evaluate(theta, self.h_series, self._h_prime,
+                                         self.rho_series)
         if np.any(rho <= 0.0):
             raise NonConvex("h + h'' <= 0 at a requested angle")
         ct, st = np.cos(theta), np.sin(theta)
@@ -277,9 +276,8 @@ class RadialCurve(PlaneBoundary):
 
     def sample(self, u) -> CurveSamples:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        r = self.radius_series(u)
-        rp = self._r_prime(u)
-        rpp = self._r_second(u)
+        r, rp, rpp = TrigSeries.evaluate(u, self.radius_series, self._r_prime,
+                                         self._r_second)
         cu, su = np.cos(u), np.sin(u)
         position = np.stack([r * cu, r * su], axis=-1)
         dx = rp * cu - r * su

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ from .errors import IsDisk, NoArcAtArea, NotClassA, NotNormalized, NumericalErro
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify
 
 HALF_PI = np.pi / 2.0
+
+log = logging.getLogger("isoperim")
 
 
 # --------------------------------------------------------------------------
@@ -350,19 +354,20 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     step = TWO_PI / config.n_s1
     s1_grid = (np.arange(config.n_s1) + 0.5) * step
 
-    offsets, areas = [], []  # per s1 slice: root offsets s2 - s1, arc areas
-    for s1 in s1_grid:
-        roots = arcsmod.scan_arc_roots(curve, float(s1), config.n_scan,
-                                       config.exclusion)
-        offsets.append(np.array(roots) - s1)
-        areas.append(np.array([arcsmod.build_arc(
-            curve, s1, r, check_containment=False).enclosed_area for r in roots]))
+    # per s1 slice: root offsets s2 - s1, arc areas
+    roots = arcsmod.scan_arc_roots(curve, s1_grid, config.n_scan,
+                                   config.exclusion)
+    offsets = [np.array(r) - s1 for s1, r in zip(s1_grid, roots)]
+    areas = [np.array([arcsmod.build_arc(curve, s1, x, check_containment=False)
+                       .enclosed_area for x in r])
+             for s1, r in zip(s1_grid, roots)]
 
     # root offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so the
     # matching radius must scale with the s1 step, not the s2 scan step
     match_radius = 3.0 * step
     targets = {target_area, total - target_area}
     best = np.inf
+    tried, failed = 0, Counter()
     for i in range(config.n_s1):
         s1_a = float(s1_grid[i])
         for off_a, area_a in zip(offsets[i], areas[i]):
@@ -378,15 +383,22 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
             for target in targets:
                 if (area_a - target) * (area_b - target) > 0.0:
                     continue
+                tried += 1
                 try:
                     length = _refine_on_branch(
                         curve, s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
-                except NumericalError:
+                except NumericalError as exc:
+                    failed[type(exc).__name__] += 1
+                    log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "
+                              "at area %.17g: %s", type(exc).__name__,
+                              s1_a, s1_b, target, exc)
                     continue
                 best = min(best, length)
     if not np.isfinite(best):
+        causes = "".join(f", {n} {name}" for name, n in sorted(failed.items()))
         raise NoArcAtArea(
-            f"no arc family crossed area {target_area}; refine the grid")
+            f"no arc family crossed area {target_area}; refine the grid "
+            f"({tried} refinements tried, {sum(failed.values())} failed{causes})")
     return float(best)
 
 

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# basis entries (points × modes) built at once; bounds evaluate's memory
+BLOCK_ENTRIES = 2 ** 16
+
 
 @dataclass(frozen=True, eq=False)
 class TrigSeries:
@@ -38,11 +41,25 @@ class TrigSeries:
         return len(self.cos_c) - 1
 
     def __call__(self, t):
+        return TrigSeries.evaluate(t, self)[0]
+
+    @staticmethod
+    def evaluate(t, *series) -> tuple:
+        """Each series at t, shaped like t, on one cos/sin basis per block."""
         t_arr = np.asarray(t, dtype=float)
-        k = np.arange(self.order + 1)
-        ang = np.multiply.outer(t_arr, k)
-        out = np.cos(ang) @ self.cos_c + np.sin(ang) @ self.sin_c
-        return out if t_arr.ndim else float(out)
+        flat = t_arr.ravel()
+        k = np.arange(max(s.order for s in series) + 1)
+        # an even block keeps BLAS's row pairing of one unblocked product
+        rows = max(2, BLOCK_ENTRIES // len(k) // 2 * 2)
+        out = [np.empty(flat.shape) for _ in series]
+        for lo in range(0, flat.size, rows):
+            ang = np.multiply.outer(flat[lo:lo + rows], k)
+            cos_b, sin_b = np.cos(ang), np.sin(ang)
+            for o, s in zip(out, series):
+                m = s.order + 1
+                o[lo:lo + rows] = cos_b[:, :m] @ s.cos_c + sin_b[:, :m] @ s.sin_c
+        return tuple(o.reshape(t_arr.shape) if t_arr.ndim else float(o[0])
+                     for o in out)
 
     def derivative(self) -> "TrigSeries":
         k = np.arange(self.order + 1, dtype=float)
@@ -79,23 +96,15 @@ class TrigSeries:
 
 def _to_complex(f: TrigSeries) -> np.ndarray:
     """Coefficients γ_k ordered k = -M..M with γ_{±k} = (a_k ∓ i b_k)/2."""
-    m = f.order
-    g = np.zeros(2 * m + 1, dtype=complex)
-    g[m] = f.cos_c[0]
-    for k in range(1, m + 1):
-        g[m + k] = (f.cos_c[k] - 1j * f.sin_c[k]) / 2.0
-        g[m - k] = (f.cos_c[k] + 1j * f.sin_c[k]) / 2.0
-    return g
+    a, b = f.cos_c[1:], f.sin_c[1:]
+    return np.concatenate([((a + 1j * b) / 2.0)[::-1], f.cos_c[:1],
+                           (a - 1j * b) / 2.0])
 
 
 def _from_complex(g: np.ndarray) -> TrigSeries:
     m = (len(g) - 1) // 2
-    cos_c = np.zeros(m + 1)
-    sin_c = np.zeros(m + 1)
-    cos_c[0] = g[m].real
-    for k in range(1, m + 1):
-        cos_c[k] = 2.0 * g[m + k].real
-        sin_c[k] = -2.0 * g[m + k].imag
+    cos_c = np.concatenate([[g[m].real], 2.0 * g[m + 1:].real])
+    sin_c = np.concatenate([[0.0], -2.0 * g[m + 1:].imag])
     return TrigSeries(cos_c, sin_c).truncated(1e-16)
 
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoperim import arcs, disk
-from isoperim.errors import (CoincidentPoints, DegenerateVertex, NoConvergence,
-                             NotAVertex, NotPerfect)
+from isoperim import perturbation as pert
+from isoperim.errors import (CoincidentPoints, DegenerateGradient,
+                             DegenerateVertex, NoConvergence, NotAVertex,
+                             NotPerfect)
 from isoperim.geometry import SupportCurve
 
 SQRT2 = np.sqrt(2.0)
@@ -54,6 +56,10 @@ def test_f_coincident_rejected(ellipse_main):
         arcs.two_point_f(ellipse_main, 0.3, 0.3)
     with pytest.raises(CoincidentPoints):
         arcs.two_point_f(ellipse_main, 0.3, 0.3 + TWO_PI)
+    # the gradient and the degeneracy test stay defined there
+    g = arcs.two_point_grad(ellipse_main, 0.3, 0.3)
+    assert abs(g[0]) < 1e-15 and abs(g[1]) < 1e-15
+    assert arcs.is_degenerate_pair(ellipse_main, 0.3, 0.3)
 
 
 def test_grad_finite_difference_100_pairs(ellipse_main):
@@ -87,6 +93,41 @@ def test_degeneracy_detector_matches_gradient(ellipse_main, unit_disk):
     assert not arcs.is_degenerate_pair(ellipse_main, 0.4, -0.4)
     g = arcs.two_point_grad(ellipse_main, 0.4, -0.4)
     assert max(abs(g[0]), abs(g[1])) > 1e-3
+
+
+def test_degenerate_at_perfect_chord(ellipse_main):
+    # the branch crosses the spurious line s2 = s1 + pi at a perfect chord,
+    # so both partials vanish there and no family is unique
+    assert arcs.is_degenerate_pair(ellipse_main, -np.pi / 2.0, np.pi / 2.0)
+    seed = arcs.two_point_state(ellipse_main, -np.pi / 2.0, np.pi / 2.0)
+    with pytest.raises(DegenerateGradient):
+        arcs.continue_family(ellipse_main, seed, steps=3, ds=0.05)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "perturbed"])
+def test_two_point_eval_partials_and_speeds(name, ellipse_main):
+    curve = (ellipse_main if name == "ellipse" else
+             pert.build_perturbed_domain(pert.PerturbationField.mode(3), 0.05))
+    s1 = np.array([[0.1], [1.3], [4.0]])
+    s2 = np.array([[0.9, 2.5, 3.3, 5.6]])
+    f, g1, g2, w1, w2 = arcs.two_point_eval(curve, s1, s2)
+    assert f.shape == g1.shape == g2.shape == (3, 4)
+    assert np.allclose(w1, curve.speed(s1.ravel()).reshape(s1.shape),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(w2, curve.speed(s2.ravel()).reshape(s2.shape),
+                       rtol=1e-14, atol=0.0)
+    assert np.array_equal(arcs.two_point_f_many(curve, s1, s2), f)
+    h = 1e-6
+    fd1 = (arcs.two_point_f_many(curve, s1 + h, s2)
+           - arcs.two_point_f_many(curve, s1 - h, s2)) / (2.0 * h)
+    fd2 = (arcs.two_point_f_many(curve, s1, s2 + h)
+           - arcs.two_point_f_many(curve, s1, s2 - h)) / (2.0 * h)
+    # finite differences are in the parameter; the partials in arclength
+    assert np.allclose(g1 * w1, fd1, rtol=0.0, atol=1e-8)
+    assert np.allclose(g2 * w2, fd2, rtol=0.0, atol=1e-8)
+    for i, j in ((0, 0), (2, 3)):
+        assert f[i, j] == pytest.approx(
+            arcs.two_point_f(curve, s1[i, 0], s2[0, j]), abs=1e-15)
 
 
 # --- arc construction --------------------------------------------------------
@@ -202,6 +243,57 @@ def test_scan_drops_spurious_antipodal(ellipse_main):
     # the line s2 = s1 + pi zeroes f identically but is not a perfect chord
     roots = arcs.scan_arc_roots(ellipse_main, 0.3)
     assert all(abs((r - 0.3) - np.pi) > 1e-3 for r in roots)
+
+
+def _dense_crossings(curve, s1, n=8192, exclusion=1e-2):
+    """Sign changes of f(s1, ·) on a fine grid, from raw boundary samples.
+
+    A cell across which N1 + N2 reverses holds the spurious crossing where
+    the normals are anti-parallel; the other crossings are genuine roots.
+    """
+    s2 = s1 + np.linspace(exclusion, TWO_PI - exclusion, n)
+    s = curve.sample(np.concatenate([[s1], s2]))
+    n_sum = s.normal[0] + s.normal[1:]
+    f = np.einsum("ij,ij->i", s.position[0] - s.position[1:], n_sum)
+    change = np.sign(f[:-1]) != np.sign(f[1:])
+    flip = np.einsum("ij,ij->i", n_sum[:-1], n_sum[1:]) < 0.0
+    return s2[:-1][change & ~flip], s2[:-1][change & flip]
+
+
+@pytest.mark.parametrize("name", ["ellipse", "fourier", "perturbed"])
+def test_batched_scan_matches_dense_scan(name, ellipse_main, fourier_domain):
+    curve = {"ellipse": ellipse_main, "fourier": fourier_domain,
+             "perturbed": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(3), 5e-3)}[name]
+    s1_grid = (np.arange(96) + 0.5) * TWO_PI / 96
+    batched = arcs.scan_arc_roots(curve, s1_grid)
+    assert len(batched) == len(s1_grid)
+    single = arcs.scan_arc_roots(curve, float(s1_grid[5]))
+    assert isinstance(single, list) and all(type(r) is float for r in single)
+    assert single == pytest.approx(batched[5], abs=1e-12)
+    fine, coarse = TWO_PI / 8191, TWO_PI / 511
+    missed_slices = 0
+    for s1, roots in zip(s1_grid, batched):
+        genuine, spurious = _dense_crossings(curve, s1)
+        for r in roots:
+            assert abs(arcs.two_point_f(curve, s1, r)) <= 1e-12
+            assert np.min(np.abs(genuine - r)) <= fine
+        missed = [g for g in genuine if np.min(np.abs(np.subtract(roots, g))) > fine]
+        if len(missed):
+            # the 512-point scan misses only a root within one of its cells
+            # of the spurious crossing, whose sign change cancels the root's
+            missed_slices += 1
+            assert len(genuine) == len(roots) + len(missed)
+            for g in missed:
+                assert np.min(np.abs(spurious - g)) < coarse
+    # near-diametral arcs of the perturbed disk at 12 of 96 slices
+    assert missed_slices == (12 if name == "perturbed" else 0)
+
+
+def test_scan_without_cells_finds_nothing(ellipse_main):
+    for n_scan in (0, 1):
+        assert arcs.scan_arc_roots(ellipse_main, 0.3, n_scan) == []
+        assert arcs.scan_arc_roots(ellipse_main, [0.3, 1.0], n_scan) == [[], []]
 
 
 def test_corrector_scan_fallback_recovers_scan_roots(monkeypatch, fourier_domain):

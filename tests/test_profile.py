@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
 from isoperim import disk
+from isoperim import perturbation as pert
 from isoperim import profile as prof
-from isoperim.errors import IsDisk, NoArcAtArea, NotClassA, NotNormalized
+from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
+                             NotNormalized)
 from isoperim.geometry import SupportCurve
 
 SQRT2 = np.sqrt(2.0)
@@ -184,6 +188,30 @@ def test_oracle_profile_symmetry(ellipse_main):
 def test_oracle_rejects_bad_area(unit_disk):
     with pytest.raises(NoArcAtArea):
         prof.general_profile_oracle(unit_disk, 4.0)
+
+
+def test_oracle_logs_dropped_refinements(caplog):
+    # cos 4u at its critical area: four straddling segments leave the window
+    area = pert.find_mode_roots(4)[0].area
+    curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), 1e-3)
+    with caplog.at_level(logging.DEBUG, logger="isoperim"):
+        value = prof.general_profile_oracle(curve, area)
+    assert np.isfinite(value)
+    dropped = [r.getMessage() for r in caplog.records
+               if r.name == "isoperim" and "refinement dropped" in r.getMessage()]
+    assert len(dropped) == 4
+    assert all(m.startswith("refinement dropped: NoArcAtArea on s1 in [")
+               for m in dropped)
+
+
+def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):
+    def fail(*args):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(prof, "_refine_on_branch", fail)
+    with pytest.raises(NoArcAtArea, match=r"\((\d+) refinements tried, \1 failed, "
+                                          r"\1 NoConvergence\)"):
+        prof.general_profile_oracle(ellipse_main, 1.0)
 
 
 # --- small-area asymptotics -----------------------------------------------------

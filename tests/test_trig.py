@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from isoperim.trig import TrigSeries, fit_periodic
+from isoperim.geometry import SupportCurve
+from isoperim.trig import (BLOCK_ENTRIES, TrigSeries, _from_complex, _to_complex,
+                           fit_periodic)
 
 coeff_lists = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)
 
@@ -47,3 +49,65 @@ def test_fit_periodic_recovers_coefficients():
     assert f.cos_c[3] == pytest.approx(0.25, abs=1e-13)
     assert f.sin_c[5] == pytest.approx(-0.1, abs=1e-13)
     assert f.order == 5
+
+
+def test_evaluate_in_one_block_is_each_call(ellipse_main):
+    low = TrigSeries(np.array([1.0, 0.5]), np.array([0.0, 0.2]))
+    series = (ellipse_main.h_series, low, ellipse_main.rho_series)
+    t = np.linspace(-1.0, 7.0, 301)
+    assert t.size * (ellipse_main.h_series.order + 1) <= BLOCK_ENTRIES
+    for got, s in zip(TrigSeries.evaluate(t, *series), series):
+        assert np.array_equal(got, s(t))
+    assert TrigSeries.evaluate(0.3, *series) == tuple(s(0.3) for s in series)
+    assert TrigSeries.evaluate(t.reshape(7, 43), low)[0].shape == (7, 43)
+
+
+def test_evaluate_across_blocks_matches_mode_sum():
+    h = SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0)).h_series
+    assert h.order >= 158
+    t = np.linspace(-0.5, 7.0, 200_001)
+    # independent route: one mode at a time, Neumaier-compensated
+    want, comp = np.zeros_like(t), np.zeros_like(t)
+    for k in range(h.order + 1):
+        for term in (h.cos_c[k] * np.cos(k * t), h.sin_c[k] * np.sin(k * t)):
+            total = want + term
+            comp += np.where(np.abs(want) >= np.abs(term),
+                             (want - total) + term, (term - total) + want)
+            want = total
+    want += comp
+    (got,) = TrigSeries.evaluate(t, h)
+    scale = np.sum(np.abs(h.cos_c)) + np.sum(np.abs(h.sin_c))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def _to_complex_by_mode(f):
+    m = f.order
+    g = np.zeros(2 * m + 1, dtype=complex)
+    g[m] = f.cos_c[0]
+    for k in range(1, m + 1):
+        g[m + k] = (f.cos_c[k] - 1j * f.sin_c[k]) / 2.0
+        g[m - k] = (f.cos_c[k] + 1j * f.sin_c[k]) / 2.0
+    return g
+
+
+def _from_complex_by_mode(g):
+    m = (len(g) - 1) // 2
+    cos_c, sin_c = np.zeros(m + 1), np.zeros(m + 1)
+    cos_c[0] = g[m].real
+    for k in range(1, m + 1):
+        cos_c[k] = 2.0 * g[m + k].real
+        sin_c[k] = -2.0 * g[m + k].imag
+    return TrigSeries(cos_c, sin_c).truncated(1e-16)
+
+
+def test_complex_coefficients_match_per_mode_loops(ellipse_main):
+    h, rho = ellipse_main.h_series, ellipse_main.rho_series
+    for f in (h, rho):
+        assert np.array_equal(_to_complex(f), _to_complex_by_mode(f))
+    conv = np.convolve(_to_complex(h), _to_complex(rho))
+    got, want = _from_complex(conv), _from_complex_by_mode(conv)
+    assert np.array_equal(got.cos_c, want.cos_c)
+    assert np.array_equal(got.sin_c, want.sin_c)
+    product = h.product(rho)
+    assert np.array_equal(product.cos_c, want.cos_c)
+    assert np.array_equal(product.sin_c, want.sin_c)
