@@ -1,13 +1,18 @@
-"""Scalar root finding shared by every one-dimensional solve in the package.
+"""Root finding shared by every one-dimensional solve in the package.
 
-Both helpers refine with Brent's method (scipy `brentq`), which keeps a
-bracket like bisection but converges superlinearly on smooth functions.
+The scalar helpers refine with Brent's method (scipy `brentq`), which keeps a
+bracket like bisection but converges superlinearly on smooth functions;
+`invert_monotone_many` solves many brackets at once with Chandrupatla's
+method (scipy `find_root`), which keeps the same guarantees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
+
+XRTOL = 4.0 * np.finfo(float).eps  # brentq's default rtol
 
 
 def invert_monotone(fn, lo: float, hi: float, xtol: float) -> float:
@@ -21,6 +26,21 @@ def invert_monotone(fn, lo: float, hi: float, xtol: float) -> float:
     if np.sign(f_lo) * np.sign(f_hi) > 0.0:
         return lo if abs(f_lo) <= abs(f_hi) else hi
     return float(brentq(fn, lo, hi, xtol=xtol))
+
+
+def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
+    """`invert_monotone` elementwise, in one `find_root` call over the
+    brackets [lo, hi]; fn(x, *args) is elementwise and args broadcast.
+
+    Returns (x, status). An element whose fn keeps one sign on its bracket
+    (status −1) gets the endpoint with the smaller |fn|; status < −1 marks
+    an element the solver gave up on.
+    """
+    res = find_root(fn, (lo, hi), args=args,
+                    tolerances=dict(xatol=xtol, xrtol=XRTOL))
+    (x_l, x_r), (f_l, f_r) = res.bracket, res.f_bracket
+    ends = np.where(np.abs(f_l) <= np.abs(f_r), x_l, x_r)
+    return np.where(res.status == -1, ends, res.x), res.status
 
 
 def sign_change_roots(fn, grid, vals, xtol: float) -> list:

@@ -15,13 +15,11 @@ to t_hi (counterclockwise) and the arc closing the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
-# before disk, else a full gc lands inside scipy's import and set-up slows
-from ._roots import sign_change_roots
+from ._roots import invert_monotone_many
 from . import disk as diskmod
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
@@ -34,7 +32,6 @@ NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # grid points per block of the batched root scan; bounds its memory
 SCAN_BLOCK_POINTS = 4096
-XRTOL = 4.0 * np.finfo(float).eps  # brentq's default rtol
 
 
 def _cross(a, b):
@@ -124,23 +121,70 @@ def is_degenerate_pair(curve: PlaneBoundary, s1: float, s2: float,
     return abs(g1) < tol and abs(g2) < tol
 
 
-def _wrap_mod_pi(x: float) -> float:
+def _wrap_mod_pi(x):
     """Wrap an angle into [-pi/2, pi/2)."""
     return (x + np.pi / 2.0) % np.pi - np.pi / 2.0
 
 
-def _two_alpha_minus_sin(two_alpha: float) -> float:
+def _two_alpha_minus_sin(two_alpha):
     """2α − sin 2α with a series guard against cancellation near 0."""
-    if abs(two_alpha) < 0.05:
-        x = two_alpha
-        return x ** 3 / 6.0 * (1.0 - x * x / 20.0 + x ** 4 / 840.0)
-    return two_alpha - np.sin(two_alpha)
+    x = np.asarray(two_alpha, dtype=float)
+    series = x ** 3 / 6.0 * (1.0 - x * x / 20.0 + x ** 4 / 840.0)
+    return np.where(np.abs(x) < 0.05, series, x - np.sin(x))
 
 
-def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float,
-              f_tol: float = 1e-8, contain_tol: float = 1e-9,
-              check_containment: bool = True) -> PerfectArc:
-    """Construct the perfect arc certified by f(t_lo, t_hi) ≈ 0.
+# ArcBatch.failure codes: (exception type, message) that build_arc raises
+ARC_FAILURES = (
+    None,
+    (NotPerfect, "two-point residual {residual:.3e} exceeds {f_tol:.1e}"),
+    (NormalsParallelButNotAligned,
+     "normals anti-parallel but chord not aligned with them"),
+    (NotPerfect, "endpoint turning angles differ by {mismatch:.3e}"),
+    (NormalsParallelButNotAligned,
+     "vanishing turning angle outside the segment branch"),
+)
+
+
+class ArcBatch(NamedTuple):
+    """`build_arc`'s chord-frame quantities, one element per endpoint pair.
+
+    Elements with a nonzero `failure` (an index into ARC_FAILURES) are not
+    arcs; their other entries are meaningless.
+    """
+
+    failure: np.ndarray
+    segment: np.ndarray     # bool: anti-parallel normals, a straight chord
+    residual: np.ndarray    # two-point value f
+    mismatch: np.ndarray    # endpoint turning-angle difference
+    alpha: np.ndarray       # signed half-turning from the chord; 0 on segments
+    chord_len: np.ndarray
+    chord_ang: np.ndarray
+    curvature: np.ndarray
+    length: np.ndarray
+    area: np.ndarray
+    ortho: np.ndarray       # max |arc tangent · boundary tangent| at the ends
+    a_pt: np.ndarray        # shape (n, 2): boundary point at t_lo
+    b_pt: np.ndarray
+    f_tol: float
+
+    def error(self, i: int):
+        """The exception `build_arc` raises for element i, or None."""
+        code = int(self.failure[i])
+        if not code:
+            return None
+        kind, message = ARC_FAILURES[code]
+        return kind(message.format(residual=self.residual[i],
+                                   mismatch=self.mismatch[i], f_tol=self.f_tol))
+
+    def raise_first(self):
+        """Raise the first element's failure, if any element failed."""
+        bad = np.flatnonzero(self.failure)
+        if bad.size:
+            raise self.error(bad[0])
+
+
+def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch:
+    """Arc kernel: the perfect arcs certified by f(t_lo, t_hi) ≈ 0, on arrays.
 
     The enclosed region is the loop [boundary t_lo → t_hi, arc back]; its
     area comes from Green's theorem with the boundary leg integrated in
@@ -149,68 +193,83 @@ def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float,
     is 2 sin α/|chord| (positive when the closing leg turns counterclockwise)
     and the length |chord|·α/sin α. This stays well-conditioned arbitrarily
     close to the straight-chord limit, where the center construction (the
-    intersection of the boundary tangent lines) degenerates.
+    intersection of the boundary tangent lines) degenerates. Callers keep
+    0 < t_hi − t_lo < 2π.
+    """
+    t_lo = np.atleast_1d(np.asarray(t_lo, dtype=float))
+    t_hi = np.atleast_1d(np.asarray(t_hi, dtype=float))
+    n = len(t_lo)
+    s = curve.sample(np.concatenate([t_lo, t_hi]))
+    a_pt, b_pt = s.position[:n], s.position[n:]
+    na, nb, ta, tb = s.normal[:n], s.normal[n:], s.tangent[:n], s.tangent[n:]
+    n_sum = na + nb
+    chord = a_pt - b_pt
+    chord_len = np.hypot(chord[:, 0], chord[:, 1])
+    # failed lanes (a zero chord or sin α) carry inf/nan; `failure` flags them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hat = chord / chord_len[:, None]
+        residual = chord[:, 0] * n_sum[:, 0] + chord[:, 1] * n_sum[:, 1]
+        not_perfect = np.abs(residual) > f_tol * np.maximum(chord_len, 1.0)
+        base_area = 0.5 * (curve.moment_between(t_lo, t_hi) + _cross(b_pt, a_pt))
+
+        # anti-parallel normals: perfect chord iff it runs along them
+        segment = np.hypot(n_sum[:, 0], n_sum[:, 1]) < SEGMENT_NORMAL_TOL
+        misaligned = segment & (np.abs(_cross(c_hat, na)) > SEGMENT_NORMAL_TOL)
+
+        # signed half-turning from both endpoint normals; they agree iff the
+        # pair really bounds one circle (mod-pi midpoint handles the wrap seam)
+        chord_ang = np.arctan2(c_hat[:, 1], c_hat[:, 0])
+        alpha_a = _wrap_mod_pi(np.arctan2(na[:, 1], na[:, 0]) - chord_ang)
+        alpha_b = _wrap_mod_pi(chord_ang - np.arctan2(nb[:, 1], nb[:, 0]))
+        mismatch = _wrap_mod_pi(alpha_a - alpha_b)
+        alpha = np.where(segment, 0.0, _wrap_mod_pi(alpha_a - 0.5 * mismatch))
+        turned = ~segment & (np.abs(mismatch) > 1e-5)
+        flat = ~segment & (np.abs(alpha) < 1e-12)
+        failure = np.where(not_perfect, 1, np.where(
+            misaligned, 2, np.where(turned, 3, np.where(flat, 4, 0))))
+
+        sin_a = np.sin(alpha)  # 0 on segments, so their curvature is 0
+        curvature = 2.0 * sin_a / chord_len
+        length = np.where(segment, chord_len, chord_len * np.abs(alpha / sin_a))
+        bulge = chord_len ** 2 * _two_alpha_minus_sin(2.0 * alpha) / (8.0 * sin_a ** 2)
+        area = np.where(segment, base_area, base_area + bulge)
+        # the arc leaves a at chord angle + α and meets b at chord angle − α
+        ang_a, ang_b = chord_ang + alpha, chord_ang - alpha
+        ortho = np.maximum(
+            np.abs(np.cos(ang_a) * ta[:, 0] + np.sin(ang_a) * ta[:, 1]),
+            np.abs(np.cos(ang_b) * tb[:, 0] + np.sin(ang_b) * tb[:, 1]))
+    return ArcBatch(failure, segment, residual, mismatch, alpha, chord_len,
+                    chord_ang, curvature, length, area, ortho, a_pt, b_pt,
+                    float(f_tol))
+
+
+def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float,
+              f_tol: float = 1e-8, contain_tol: float = 1e-9,
+              check_containment: bool = True) -> PerfectArc:
+    """Construct the perfect arc certified by f(t_lo, t_hi) ≈ 0.
+
+    One element of `arc_batch`, plus the circle's center and, unless
+    check_containment is False, a test of interior arc points against the
+    boundary. Raises the element's failure.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not 0.0 < t_hi - t_lo < TWO_PI:
         raise ValueError("need t_lo < t_hi with t_hi - t_lo in (0, 2pi)")
-    s = curve.sample(np.array([t_lo, t_hi], dtype=float))
-    a_pt, b_pt = s.position[0], s.position[1]
-    n_sum = s.normal[0] + s.normal[1]
-    chord = a_pt - b_pt
-    chord_len = float(np.hypot(*chord))
-    c_hat = chord / chord_len
-
-    f_val = float(np.dot(chord, n_sum))
-    scale = max(chord_len, 1.0)
-    if abs(f_val) > f_tol * scale:
-        raise NotPerfect(f"two-point residual {f_val:.3e} exceeds {f_tol:.1e}")
-
-    boundary_moment = curve.moment_between(t_lo, t_hi)
-
-    if float(np.hypot(*n_sum)) < SEGMENT_NORMAL_TOL:
-        # anti-parallel normals: perfect chord iff it runs along them
-        if abs(_cross(c_hat, s.normal[0])) > SEGMENT_NORMAL_TOL:
-            raise NormalsParallelButNotAligned(
-                "normals anti-parallel but chord not aligned with them")
-        area = 0.5 * (boundary_moment + _cross(b_pt, a_pt))
-        ortho = float(max(abs(np.dot(s.tangent[0], c_hat)),
-                          abs(np.dot(s.tangent[1], c_hat))))
-        contained = (check_containment and
-                     _sample_containment(curve, a_pt, b_pt, 0.0, contain_tol))
-        return PerfectArc("segment", None, None, 0.0, (t_lo, t_hi),
-                          chord_len, area, contained, ortho)
-
-    # signed half-turning from both endpoint normals; they agree iff the
-    # pair really bounds one circle (mod-pi midpoint handles the wrap seam)
-    chord_ang = np.arctan2(c_hat[1], c_hat[0])
-    alpha_a = _wrap_mod_pi(np.arctan2(s.normal[0][1], s.normal[0][0]) - chord_ang)
-    alpha_b = _wrap_mod_pi(chord_ang - np.arctan2(s.normal[1][1], s.normal[1][0]))
-    mismatch = _wrap_mod_pi(alpha_a - alpha_b)
-    if abs(mismatch) > 1e-5:
-        raise NotPerfect(f"endpoint turning angles differ by {mismatch:.3e}")
-    alpha = _wrap_mod_pi(alpha_a - 0.5 * mismatch)
-    if abs(alpha) < 1e-12:
-        raise NormalsParallelButNotAligned("vanishing turning angle outside "
-                                           "the segment branch")
-
-    sin_a = np.sin(alpha)
-    radius = chord_len / (2.0 * abs(sin_a))
-    curvature = 2.0 * sin_a / chord_len
-    length = chord_len * abs(alpha / sin_a)
-    segment_bulge = chord_len ** 2 * _two_alpha_minus_sin(2.0 * alpha) / (8.0 * sin_a ** 2)
-    area = 0.5 * (boundary_moment + _cross(b_pt, a_pt)) + segment_bulge
-
-    t_arc_a = np.array([np.cos(chord_ang + alpha), np.sin(chord_ang + alpha)])
-    t_arc_b = np.array([np.cos(chord_ang - alpha), np.sin(chord_ang - alpha)])
-    ortho = float(max(abs(np.dot(t_arc_a, s.tangent[0])),
-                      abs(np.dot(t_arc_b, s.tangent[1]))))
-    rot_t_a = np.array([-t_arc_a[1], t_arc_a[0]])
-    center = a_pt + radius * np.sign(alpha) * rot_t_a
+    arc = arc_batch(curve, t_lo, t_hi, f_tol)
+    arc.raise_first()
+    a_pt, b_pt, alpha = arc.a_pt[0], arc.b_pt[0], float(arc.alpha[0])
     contained = (check_containment and
                  _sample_containment(curve, a_pt, b_pt, alpha, contain_tol))
-    return PerfectArc("circular", center, radius, curvature, (t_lo, t_hi),
-                      length, area, contained, ortho)
+    common = dict(curvature=float(arc.curvature[0]), endpoint_thetas=(t_lo, t_hi),
+                  length=float(arc.length[0]), enclosed_area=float(arc.area[0]),
+                  contained=contained, ortho_residual=float(arc.ortho[0]))
+    if arc.segment[0]:
+        return PerfectArc("segment", None, None, **common)
+    chord_len, chord_ang = float(arc.chord_len[0]), float(arc.chord_ang[0])
+    radius = chord_len / (2.0 * abs(np.sin(alpha)))
+    rot_t_a = np.array([-np.sin(chord_ang + alpha), np.cos(chord_ang + alpha)])
+    center = a_pt + radius * np.sign(alpha) * rot_t_a
+    return PerfectArc("circular", center, radius, **common)
 
 
 def _sample_containment(curve, a_pt, b_pt, alpha, tol, n: int = 33):
@@ -242,14 +301,31 @@ def _sample_containment(curve, a_pt, b_pt, alpha, tol, n: int = 33):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
+def _cell_roots(curve: PlaneBoundary, s1, grid, vals, xatol: float) -> tuple:
+    """(row, root) for every sign-changing cell of the rows of a scanned grid,
+    vals[i] = f(s1[i], grid[i]); roots ascend within a row.
+
+    Every bracket is refined in one `invert_monotone_many` solve, the
+    vectorized counterpart of `sign_change_roots`. An exact zero stays at
+    its node.
+    """
+    neg = vals < 0.0
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
+    lo, hi = grid[row, col], grid[row, col + 1]
+    x, status = invert_monotone_many(lambda x, s: two_point_f_many(curve, s, x),
+                                     lo, hi, xatol, args=(s1[row],))
+    if np.any(status < -1):
+        raise NoConvergence("vectorized root refinement did not converge")
+    return row, np.where(vals[row, col] == 0.0, lo, x)
+
+
 def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
                    exclusion: float = 1e-2):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
     s1 may be a 1-D array, giving one root list per slice; a scalar s1 gives
     its list alone. The (s1, s2) grid is scanned for sign changes in blocks
-    of slices, and every bracket is refined in one Chandrupatla solve
-    (`find_root`, the vectorized counterpart of `sign_change_roots`' rules).
+    of slices, and every bracket is refined in one `_cell_roots` solve.
     Crossings where the normals are anti-parallel are kept only if the chord
     is aligned with them (a perfect chord); otherwise f vanishes for the
     wrong reason and the root is spurious.
@@ -260,19 +336,7 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
     vals = np.concatenate([
         two_point_f_many(curve, s1_arr[i:i + step, None], grid[i:i + step])
         for i in range(0, len(s1_arr), step)])
-    neg = vals < 0.0
-    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
-    lo, hi = grid[row, col], grid[row, col + 1]
-    f_lo, f_hi = vals[row, col], vals[row, col + 1]
-    res = find_root(lambda x, s: two_point_f_many(curve, s, x), (lo, hi),
-                    args=(s1_arr[row],),
-                    tolerances=dict(xatol=1e-13, xrtol=XRTOL))
-    if np.any(res.status < -1):
-        raise NoConvergence("vectorized root refinement did not converge")
-    # status -1: the solver's end values share a sign where the scan's did
-    # not, so the root lies on a node to rounding; an exact zero stays put
-    node = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    roots = np.where(f_lo == 0.0, lo, np.where(res.status == -1, node, res.x))
+    row, roots = _cell_roots(curve, s1_arr, grid, vals, 1e-13)
     s = curve.sample(np.concatenate([s1_arr[row], roots]))
     n1, n2 = np.split(s.normal, 2)
     chord = np.subtract(*np.split(s.position, 2))
@@ -297,42 +361,64 @@ def max_two_point_residual(curve: PlaneBoundary, n: int = 24) -> float:
 # continuation
 # --------------------------------------------------------------------------
 
-def _correct_s2(curve: PlaneBoundary, s1: float, s2_guess: float,
-                bracket_halfwidth: float) -> float:
-    """1-D Newton on s2 holding f(s1, ·) = 0, bracketing scan as fallback.
+def _correct_s2(curve: PlaneBoundary, s1, s2_guess, bracket_halfwidth):
+    """Newton on s2 holding f(s1, ·) = 0, bracketing scan as fallback.
+
+    s1, s2_guess and bracket_halfwidth broadcast; each element stops on its
+    own. An array call returns NaN where an element fails; a scalar call
+    returns a float and raises instead.
 
     Convergence is judged on the Newton step, not only on |f|: near a vertex
     ∂f/∂s2 scales like the cube of the endpoint offset, so a fixed |f| floor
     alone would leave the root orders of magnitude less accurate than it.
+    An element stops when the step falls below 1e-14, or once |f| is below
+    NEWTON_F_TOL and the step no longer shrinks: f then only random-walks
+    at its rounding floor.
     """
-    s2 = s2_guess
-    best = (np.inf, s2)
+    s1_b, guess, half = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (s1, s2_guess, bracket_halfwidth)))
+    s1_v, guess, half = s1_b.ravel(), guess.ravel(), half.ravel()
+    s2 = guess.copy()
+    best_f, best_s2 = np.full(s2.shape, np.inf), s2.copy()
+    prev_step = np.full(s2.shape, np.inf)
+    last = np.zeros(s2.shape, dtype=bool)   # evaluate once more, then stop
+    active = np.ones(s2.shape, dtype=bool)
+    coincident = np.zeros(s2.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        _require_distinct(s1, s2)
-        f, _, g2, _, w2 = two_point_eval(curve, s1, s2)
-        f, g2 = float(f), float(g2 * w2)  # to a parameter derivative
-        if abs(f) < best[0]:
-            best = (abs(f), s2)
-        if f == 0.0:
-            return s2
-        if abs(g2) < 1e-300:
+        gap = (s1_v - s2) % TWO_PI
+        coincident |= active & (np.minimum(gap, TWO_PI - gap) < 1e-14)
+        active &= ~coincident
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        step = f / g2
-        s2 -= step
-        if abs(step) < 1e-14 * max(1.0, abs(s2)):
-            f_end = two_point_f(curve, s1, s2)
-            if abs(f_end) < best[0]:
-                best = (abs(f_end), s2)
-            break
-    if best[0] < NEWTON_F_TOL:
-        return best[1]
-    # bracketing scan around the prediction
-    grid = s2_guess + np.linspace(-bracket_halfwidth, bracket_halfwidth, 41)
-    roots = sign_change_roots(lambda s: two_point_f(curve, s1, s), grid,
-                              two_point_f_many(curve, s1, grid), 1e-14)
-    if not roots:
-        raise NoConvergence(f"corrector failed at s1={s1:.6f}")
-    return roots[0]
+        f, _, g2, _, w2 = two_point_eval(curve, s1_v[idx], s2[idx])
+        g2 = g2 * w2  # to a parameter derivative
+        better = np.abs(f) < best_f[idx]
+        best_f[idx[better]], best_s2[idx[better]] = np.abs(f[better]), s2[idx[better]]
+        stop = last[idx] | (f == 0.0) | (np.abs(g2) < 1e-300)
+        step = f / np.where(stop, 1.0, g2)
+        stop |= (np.abs(f) < NEWTON_F_TOL) & (np.abs(step) >= prev_step[idx])
+        go = idx[~stop]
+        s2[go] -= step[~stop]
+        prev_step[go] = np.abs(step[~stop])
+        last[go] = prev_step[go] < 1e-14 * np.maximum(1.0, np.abs(s2[go]))
+        active[idx[stop]] = False
+    out = np.where((best_f < NEWTON_F_TOL) & ~coincident, best_s2, np.nan)
+    # bracketing scan around the prediction; the first root wins
+    fb = np.flatnonzero(np.isnan(out) & ~coincident)
+    if fb.size:
+        grid = guess[fb, None] + np.linspace(-half[fb], half[fb], 41, axis=1)
+        vals = two_point_f_many(curve, s1_v[fb, None], grid)
+        row, roots = _cell_roots(curve, s1_v[fb], grid, vals, 1e-14)
+        first, at = np.unique(row, return_index=True)
+        out[fb[first]] = roots[at]
+    if s1_b.ndim:
+        return out.reshape(s1_b.shape)
+    if coincident[0]:
+        raise CoincidentPoints(f"s1 = s2 = {float(s1_v[0])} mod 2pi")
+    if np.isnan(out[0]):
+        raise NoConvergence(f"corrector failed at s1={float(s1_v[0]):.6f}")
+    return float(out[0])
 
 
 def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,

@@ -21,7 +21,7 @@ from . import arcs as arcsmod
 
 from . import perturbation as pertmod
 from . import profile as profilemod
-from .errors import IsoperimError, NumericalError
+from .errors import IsDisk, IsoperimError, NumericalError
 from .geometry import SupportCurve, classify, domain_from_spec
 
 EXIT_OK = 0
@@ -139,6 +139,11 @@ def cmd_check_conjecture(args) -> int:
 
 def cmd_arcs_find(args) -> int:
     curve = _load_domain(args)
+    # on a circle f ≡ 0, so any sign change of f is rounding noise
+    if (arcsmod.max_two_point_residual(curve)
+            < profilemod.OracleConfig().circle_residual_tol):
+        raise IsDisk("every endpoint pair of a circle bounds a perfect arc; "
+                     "arcs-find needs a non-circular domain")
     roots = arcsmod.scan_arc_roots(curve, args.s1, args.grid)
     out = []
     for s2 in roots:

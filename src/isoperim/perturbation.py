@@ -140,29 +140,28 @@ def implicit_curve_sample(x_range, y_range, resolution: int = 400) -> np.ndarray
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     vals = np.cos(yg) * np.sin(xg * yg) - xg * np.sin(yg) * np.cos(xg * yg)
 
-    pts = []
-
-    def emit(p0, v0, p1, v1):
-        if v0 == 0.0:
-            pts.append(p0)
-            return
-        if (v0 < 0.0) != (v1 < 0.0):
-            t = v0 / (v0 - v1)
-            pts.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            p00, p10 = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            p01, p11 = (xs[i], ys[j + 1]), (xs[i + 1], ys[j + 1])
-            v00, v10 = vals[i, j], vals[i + 1, j]
-            v01, v11 = vals[i, j + 1], vals[i + 1, j + 1]
-            emit(p00, v00, p10, v10)
-            emit(p00, v00, p01, v01)
-            if i == nx - 2:
-                emit(p10, v10, p11, v11)
-            if j == ny - 2:
-                emit(p01, v01, p11, v11)
-    return np.array(pts) if pts else np.zeros((0, 2))
+    if nx < 2 or ny < 2:
+        return np.zeros((0, 2))
+    # Points come in cell-scan order: cell (i, j) emits its edge to (i+1, j)
+    # (edge 0), to (i, j+1) (edge 1), then in the last column the edge
+    # (i+1, j)→(i+1, j+1) (edge 2) and in the last row (i, j+1)→(i+1, j+1)
+    # (edge 3). Every grid edge thus belongs to one cell. An edge emits its
+    # first node on an exact zero and the linear crossing on a sign change.
+    pts, keys = [], []
+    for di, dj in ((1, 0), (0, 1)):
+        v0, v1 = vals[:nx - di, :ny - dj], vals[di:, dj:]
+        i, j = np.nonzero((v0 == 0.0) | ((v0 < 0.0) != (v1 < 0.0)))
+        a0, a1 = v0[i, j], v1[i, j]
+        x0, y0, x1, y1 = xs[i], ys[j], xs[i + di], ys[j + dj]
+        cross = a0 != 0.0
+        t = a0[cross] / (a0[cross] - a1[cross])
+        x0[cross] += t * (x1[cross] - x0[cross])
+        y0[cross] += t * (y1[cross] - y0[cross])
+        edge = np.where((i > nx - 2) | (j > ny - 2), 2 + di, 1 - di)
+        pts.append(np.column_stack([x0, y0]))
+        keys.append((np.minimum(i, nx - 2) * (ny - 1) + np.minimum(j, ny - 2)) * 4
+                    + edge)
+    return np.concatenate(pts)[np.argsort(np.concatenate(keys))]
 
 
 # --------------------------------------------------------------------------

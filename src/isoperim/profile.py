@@ -28,11 +28,15 @@ from scipy.optimize import minimize_scalar
 
 from . import arcs as arcsmod
 from . import disk as diskmod
-from ._roots import invert_monotone
-from .errors import IsDisk, NoArcAtArea, NotClassA, NotNormalized, NumericalError
+from ._roots import invert_monotone, invert_monotone_many
+from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
+                     NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify
 
 HALF_PI = np.pi / 2.0
+# the refinement's corrector bracket: the partner s2 stays this close to the
+# partner interpolated along the branch segment
+BRANCH_HALFWIDTH = 0.2
 
 log = logging.getLogger("isoperim")
 
@@ -148,10 +152,9 @@ def symmetric_profile(curve: SupportCurve, n_samples: int = 256,
     length = _family_length(curve, theta)
     curvature = _family_curvature(curve, theta)
 
-    area = np.empty_like(theta)
-    for i, th in enumerate(theta):
-        arc = arcsmod.build_arc(curve, -th, th)
-        area[i] = arc.enclosed_area
+    arcs = arcsmod.arc_batch(curve, -theta, theta)
+    arcs.raise_first()
+    area = arcs.area
 
     check = _family_area_quadrature(curve, theta)
     worst = float(np.max(np.abs(check - area)))
@@ -287,48 +290,88 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     """Profile of a circle-like domain (every endpoint pair is perfect).
 
     For fixed s1 the enclosed area grows monotonically with the sweep to s2,
-    so the arc at the target area comes from a bracketed Brent solve; the
-    geometric construction (not the closed form) supplies lengths and areas.
-    Sweeps below ~1e-6 are ill-conditioned (near-parallel tangent lines) and
-    are never needed for the supported target range.
+    so the arc at the target area comes from one bracketed solve over eight
+    s1; the geometric construction (not the closed form) supplies lengths
+    and areas. Sweeps below ~1e-6 are ill-conditioned (near-parallel tangent
+    lines) and are never needed for the supported target range.
     """
-    def area_at(s1, sweep):
-        return arcsmod.build_arc(curve, s1, s1 + sweep,
-                                 check_containment=False).enclosed_area
+    def arcs_at(s1, sweep):
+        arcs = arcsmod.arc_batch(curve, s1, s1 + sweep)
+        arcs.raise_first()
+        return arcs
 
-    best = np.inf
-    for s1 in np.linspace(0.0, TWO_PI, 8, endpoint=False):
-        lo, hi = 1e-3, TWO_PI - 1e-3
-        while area_at(s1, lo) > target:
-            lo *= 0.25
-            if lo < 1e-6:
-                raise NoArcAtArea(f"target area {target} too small to bracket")
-        while area_at(s1, hi) < target:
-            hi = TWO_PI - (TWO_PI - hi) * 0.25
-            if TWO_PI - hi < 1e-6:
-                raise NoArcAtArea(f"target area {target} too large to bracket")
-        sweep = invert_monotone(lambda w: area_at(s1, w) - target, lo, hi, 1e-13)
-        best = min(best, arcsmod.build_arc(curve, s1, s1 + sweep).length)
-    if not np.isfinite(best):
-        raise NoArcAtArea(f"no circle arc at area {target}")
-    return float(best)
+    s1 = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    lo, hi = np.full(8, 1e-3), np.full(8, TWO_PI - 1e-3)
+    while np.any(low := arcs_at(s1, lo).area > target):
+        lo[low] *= 0.25
+        if np.any(lo < 1e-6):
+            raise NoArcAtArea(f"target area {target} too small to bracket")
+    while np.any(high := arcs_at(s1, hi).area < target):
+        hi[high] = TWO_PI - (TWO_PI - hi[high]) * 0.25
+        if np.any(TWO_PI - hi < 1e-6):
+            raise NoArcAtArea(f"target area {target} too large to bracket")
+    sweep, status = invert_monotone_many(
+        lambda w, s: arcs_at(s, w).area - target, lo, hi, 1e-13, args=(s1,))
+    if np.any(status < -1):
+        raise NoConvergence(f"circle sweep at area {target} did not converge")
+    return float(np.min(arcs_at(s1, sweep).length))
 
 
-def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target):
-    """Length of the arc at `target` area on a branch segment whose end areas
-    straddle it; s2 is interpolated between the ends and corrected onto
-    f = 0, so the area is a function of s1 and Brent's method solves it."""
-    def arc_at(s1):
-        s2_seed = np.interp(s1, (s1_a, s1_b), (s2_a, s2_b))
-        s2 = arcsmod._correct_s2(curve, s1, s2_seed, 0.2)
-        lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
-        if not 0.0 < hi - lo < TWO_PI:
-            raise NoArcAtArea("branch left the parameter window")
-        return arcsmod.build_arc(curve, lo, hi, check_containment=False)
+def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
+    """Lengths of the arcs at `target` area on branch segments whose end
+    areas straddle it, one element per segment (the arguments broadcast).
 
-    s1 = invert_monotone(lambda s: arc_at(s).enclosed_area - target,
-                         s1_a, s1_b, 1e-14)
-    return arc_at(s1).length
+    s2 is interpolated between each segment's ends and corrected onto f = 0,
+    so the area is a function of s1, solved by one `invert_monotone_many`
+    call over every segment: a segment whose end areas lie on one side of
+    the target keeps the end nearer to it. A segment fails at the
+    first s1 where the corrector fails (NoConvergence), the pair leaves the
+    window 0 < hi − lo < 2π or s2 moves more than BRANCH_HALFWIDTH from its
+    interpolated seed (NoArcAtArea), or `arc_batch` rejects the pair.
+    Returns (length, failures): NaN length and, in `failures`, the exception
+    of each failed segment; None where it succeeded.
+    """
+    s1_a, s2_a, s1_b, s2_b, target = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float))
+          for v in (s1_a, s2_a, s1_b, s2_b, target)))
+    slope = (s2_b - s2_a) / (s1_b - s1_a)
+    failures = [None] * len(s1_a)
+
+    def arcs_at(s1, lane):
+        """(area, length) at s1 per lane; a failed lane is recorded and reads
+        as a root, so that the solver retires it."""
+        seed = s2_a[lane] + slope[lane] * (s1 - s1_a[lane])
+        s2 = arcsmod._correct_s2(curve, s1, seed, BRANCH_HALFWIDTH)
+        lo, hi = np.fmin(s1, s2), np.fmax(s1, s2)
+        # a partner outside the corrector's bracket has jumped to another branch
+        inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
+                  & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
+        arc = arcsmod.arc_batch(curve, lo[inside], hi[inside])
+        area, length = np.full(s1.shape, np.nan), np.full(s1.shape, np.nan)
+        area[inside], length[inside] = arc.area, arc.length
+        bad = ~inside
+        bad[inside] = arc.failure != 0
+        for i in np.flatnonzero(bad):
+            if np.isnan(s2[i]):
+                exc = NoConvergence(f"corrector failed at s1={s1[i]:.6f}")
+            elif not inside[i]:
+                exc = NoArcAtArea("branch left the parameter window")
+            else:
+                exc = arc.error(np.count_nonzero(inside[:i]))
+            failures[lane[i]] = failures[lane[i]] or exc
+        area[bad], length[bad] = target[lane[bad]], np.nan
+        return area, length
+
+    lanes = np.arange(len(s1_a))
+    s1, status = invert_monotone_many(
+        lambda s1, lane: arcs_at(s1, lane)[0] - target[lane], s1_a, s1_b, 1e-14,
+        args=(lanes,))
+    for i in np.flatnonzero(status < -1):
+        failures[i] = failures[i] or NoConvergence("area refinement did not converge")
+    ok = np.array([exc is None for exc in failures], dtype=bool)
+    length = np.full(len(s1_a), np.nan)
+    length[ok] = arcs_at(s1[ok], lanes[ok])[1]
+    return length, failures
 
 
 def general_profile_oracle(curve: PlaneBoundary, target_area: float,
@@ -339,8 +382,8 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     function and the area of its arc, and matches roots across neighboring
     s1 into branches. An arc's complement has the same length and area
     |Ω| − A, so each branch segment whose end areas straddle the target or
-    |Ω| − target is refined by Brent's method in s1. Independent of every
-    closed form in the package.
+    |Ω| − target is refined in s1; all of them in one `_refine_on_branch`
+    call. Independent of every closed form in the package.
     """
     total = curve.area()
     if not 0.0 < target_area < total:
@@ -357,17 +400,18 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     # per s1 slice: root offsets s2 - s1, arc areas
     roots = arcsmod.scan_arc_roots(curve, s1_grid, config.n_scan,
                                    config.exclusion)
-    offsets = [np.array(r) - s1 for s1, r in zip(s1_grid, roots)]
-    areas = [np.array([arcsmod.build_arc(curve, s1, x, check_containment=False)
-                       .enclosed_area for x in r])
-             for s1, r in zip(s1_grid, roots)]
+    counts = [len(r) for r in roots]
+    s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
+    table = arcsmod.arc_batch(curve, s1_all, s2_all)
+    table.raise_first()
+    split = np.cumsum(counts)[:-1]
+    offsets, areas = np.split(s2_all - s1_all, split), np.split(table.area, split)
 
     # root offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so the
     # matching radius must scale with the s1 step, not the s2 scan step
     match_radius = 3.0 * step
     targets = {target_area, total - target_area}
-    best = np.inf
-    tried, failed = 0, Counter()
+    segments = []  # (s1_a, s2_a, s1_b, s2_b, target) straddling a target
     for i in range(config.n_s1):
         s1_a = float(s1_grid[i])
         for off_a, area_a in zip(offsets[i], areas[i]):
@@ -380,26 +424,29 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
             else:
                 continue
             s1_b, off_b, area_b = s1_a + skip * step, offsets[j][k], areas[j][k]
-            for target in targets:
-                if (area_a - target) * (area_b - target) > 0.0:
-                    continue
-                tried += 1
-                try:
-                    length = _refine_on_branch(
-                        curve, s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
-                except NumericalError as exc:
-                    failed[type(exc).__name__] += 1
-                    log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "
-                              "at area %.17g: %s", type(exc).__name__,
-                              s1_a, s1_b, target, exc)
-                    continue
-                best = min(best, length)
-    if not np.isfinite(best):
+            segments += [(s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
+                         for target in targets
+                         if (area_a - target) * (area_b - target) <= 0.0]
+    lengths, failures = np.full(len(segments), np.nan), [None] * len(segments)
+    if segments:
+        try:
+            lengths, failures = _refine_on_branch(curve, *np.transpose(segments))
+        except NumericalError as exc:
+            failures = [exc] * len(segments)
+    failed = Counter()
+    for (s1_a, _, s1_b, _, target), exc in zip(segments, failures):
+        if exc is not None:
+            failed[type(exc).__name__] += 1
+            log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "
+                      "at area %.17g: %s", type(exc).__name__,
+                      s1_a, s1_b, target, exc)
+    if np.all(np.isnan(lengths)):
         causes = "".join(f", {n} {name}" for name, n in sorted(failed.items()))
         raise NoArcAtArea(
             f"no arc family crossed area {target_area}; refine the grid "
-            f"({tried} refinements tried, {sum(failed.values())} failed{causes})")
-    return float(best)
+            f"({len(segments)} refinements tried, {sum(failed.values())} "
+            f"failed{causes})")
+    return float(np.nanmin(lengths))
 
 
 # --------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from isoperim import arcs, disk
 from isoperim import perturbation as pert
 from isoperim.errors import (CoincidentPoints, DegenerateGradient,
-                             DegenerateVertex, NoConvergence, NotAVertex,
+                             DegenerateVertex, NoConvergence,
+                             NormalsParallelButNotAligned, NotAVertex,
                              NotPerfect)
-from isoperim.geometry import SupportCurve
+from isoperim.geometry import CurveSamples, SupportCurve
 
 SQRT2 = np.sqrt(2.0)
 TWO_PI = 2.0 * np.pi
@@ -195,6 +196,130 @@ def test_segment_at_half_area(ellipse_main):
     assert seg.contained
 
 
+def scalar_arc(curve, t_lo, t_hi, f_tol):
+    """Reference: build_arc's chord-frame math one pair at a time, as scalars.
+
+    Returns (exception type, message) for a rejected pair, else
+    (kind, curvature, length, area, ortho residual).
+    """
+    wrap = lambda x: (x + np.pi / 2.0) % np.pi - np.pi / 2.0
+    cross = lambda a, b: a[0] * b[1] - a[1] * b[0]
+    s = curve.sample(np.array([t_lo, t_hi]))
+    a_pt, b_pt = s.position
+    n_sum = s.normal[0] + s.normal[1]
+    chord = a_pt - b_pt
+    chord_len = float(np.hypot(*chord))
+    c_hat = chord / chord_len
+    f_val = float(np.dot(chord, n_sum))
+    if abs(f_val) > f_tol * max(chord_len, 1.0):
+        return NotPerfect, f"two-point residual {f_val:.3e} exceeds {f_tol:.1e}"
+    moment = curve.moment_between(t_lo, t_hi)
+    if float(np.hypot(*n_sum)) < arcs.SEGMENT_NORMAL_TOL:
+        if abs(cross(c_hat, s.normal[0])) > arcs.SEGMENT_NORMAL_TOL:
+            return (NormalsParallelButNotAligned,
+                    "normals anti-parallel but chord not aligned with them")
+        ortho = max(abs(np.dot(s.tangent[0], c_hat)), abs(np.dot(s.tangent[1], c_hat)))
+        return ("segment", 0.0, chord_len, 0.5 * (moment + cross(b_pt, a_pt)),
+                float(ortho))
+    chord_ang = np.arctan2(c_hat[1], c_hat[0])
+    alpha_a = wrap(np.arctan2(s.normal[0][1], s.normal[0][0]) - chord_ang)
+    alpha_b = wrap(chord_ang - np.arctan2(s.normal[1][1], s.normal[1][0]))
+    mismatch = wrap(alpha_a - alpha_b)
+    if abs(mismatch) > 1e-5:
+        return NotPerfect, f"endpoint turning angles differ by {mismatch:.3e}"
+    alpha = wrap(alpha_a - 0.5 * mismatch)
+    if abs(alpha) < 1e-12:
+        return (NormalsParallelButNotAligned,
+                "vanishing turning angle outside the segment branch")
+    sin_a = np.sin(alpha)
+    x = 2.0 * alpha
+    two_alpha_minus_sin = (x ** 3 / 6.0 * (1.0 - x * x / 20.0 + x ** 4 / 840.0)
+                           if abs(x) < 0.05 else x - np.sin(x))
+    bulge = chord_len ** 2 * two_alpha_minus_sin / (8.0 * sin_a ** 2)
+    t_arc_a = np.array([np.cos(chord_ang + alpha), np.sin(chord_ang + alpha)])
+    t_arc_b = np.array([np.cos(chord_ang - alpha), np.sin(chord_ang - alpha)])
+    ortho = max(abs(np.dot(t_arc_a, s.tangent[0])), abs(np.dot(t_arc_b, s.tangent[1])))
+    return ("circular", 2.0 * sin_a / chord_len, chord_len * abs(alpha / sin_a),
+            0.5 * (moment + cross(b_pt, a_pt)) + bulge, float(ortho))
+
+
+class _Frames:
+    """Boundary stub with given points and normals, to reach the failure no
+    convex curve produces: normals along the chord that are not opposite."""
+
+    def __init__(self, position, normal):
+        self.position, self.normal = np.asarray(position), np.asarray(normal)
+
+    def sample(self, theta):
+        idx = np.asarray(theta, dtype=int)
+        n = self.normal[idx]
+        return CurveSamples(theta, self.position[idx], np.stack(
+            [-n[:, 1], n[:, 0]], axis=-1), n, np.ones(len(idx)), np.ones(len(idx)))
+
+    def moment_between(self, t0, t1):
+        return np.zeros(np.shape(t0))
+
+
+def _kernel_pairs(curve, rng):
+    """Random endpoint pairs over every branch of build_arc: generic pairs
+    (non-perfect), mirror pairs (circular arcs, and straight chords at π/2),
+    axis chords (segments) and antipodal pairs (misaligned chords)."""
+    t = rng.uniform(0.02, np.pi / 2.0 - 0.02, 40)
+    lo = rng.uniform(0.0, TWO_PI, 40)
+    pairs = [(lo, lo + rng.uniform(0.05, TWO_PI - 0.05, 40)),
+             (-t, t), (t, np.pi - t), (np.pi / 2.0 - t, np.pi / 2.0 + t),
+             (np.array([-np.pi / 2.0, 0.0, np.pi / 2.0]),
+              np.array([np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0])),
+             (lo, lo + np.pi)]
+    return (np.concatenate([p[0] for p in pairs]),
+            np.concatenate([p[1] for p in pairs]))
+
+
+def test_arc_kernel_matches_scalar_math(ellipse_main, fourier_domain):
+    # one float64 evaluation differs from another only in the summation order
+    # of the closed-form boundary moment and of 2-vector dot products: allow
+    # 64 ulps of the quantity's scale
+    tol = 64.0 * np.finfo(float).eps
+    rng = np.random.default_rng(2024)
+    seen = set()
+    curves = (ellipse_main, fourier_domain,
+              pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3))
+    for curve in curves:
+        t_lo, t_hi = _kernel_pairs(curve, rng)
+        for f_tol in (1e-8, 10.0):   # 10: non-perfect pairs reach the turning test
+            batch = arcs.arc_batch(curve, t_lo, t_hi, f_tol)
+            for i, (a, b) in enumerate(zip(t_lo, t_hi)):
+                want = scalar_arc(curve, a, b, f_tol)
+                got = batch.error(i)
+                if got is not None or isinstance(want[0], type):
+                    assert (type(got), str(got)) == want
+                    seen.add((want[0].__name__, want[1].split()[0]))
+                    continue
+                kind, curvature, length, area, ortho = want
+                seen.add(kind)
+                assert ("segment" if batch.segment[i] else "circular") == kind
+                for value, ref in ((batch.curvature[i], curvature),
+                                   (batch.length[i], length),
+                                   (batch.area[i], area), (batch.ortho[i], ortho)):
+                    assert abs(value - ref) <= tol * max(1.0, abs(ref))
+    stub = _Frames([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    flat = arcs.arc_batch(stub, [0], [1], 10.0)
+    assert str(flat.error(0)) == "vanishing turning angle outside the segment branch"
+    with pytest.raises(NormalsParallelButNotAligned, match="vanishing"):
+        flat.raise_first()
+    seen.add(type(flat.error(0)).__name__)
+    assert seen == {"circular", "segment", ("NotPerfect", "two-point"),
+                    ("NotPerfect", "endpoint"),
+                    ("NormalsParallelButNotAligned", "normals"),
+                    "NormalsParallelButNotAligned"}
+
+
+def test_arc_kernel_empty(ellipse_main):
+    batch = arcs.arc_batch(ellipse_main, [], [])
+    assert batch.area.shape == (0,)
+    batch.raise_first()
+
+
 def test_non_perfect_pair_rejected(ellipse_main):
     with pytest.raises(NotPerfect):
         arcs.build_arc(ellipse_main, 0.1, 0.9)
@@ -305,6 +430,39 @@ def test_corrector_scan_fallback_recovers_scan_roots(monkeypatch, fourier_domain
             assert got == pytest.approx(root, abs=1e-12)
     with pytest.raises(NoConvergence):
         arcs._correct_s2(fourier_domain, 0.3, 0.3 + np.pi / 2.0, 0.1)
+    # the array form marks the failed element NaN instead of raising
+    root = arcs.scan_arc_roots(fourier_domain, 0.3)[0]
+    got = arcs._correct_s2(fourier_domain, 0.3, [root + 0.05, 0.3 + np.pi / 2.0],
+                           [0.2, 0.1])
+    assert got[0] == pytest.approx(root, abs=1e-12) and np.isnan(got[1])
+
+
+def test_corrector_stops_at_rounding_floor(monkeypatch):
+    # near a vertex ∂f/∂s2 ≈ 6e-6, so f random-walks at ~1e-16 once the root
+    # is reached and the 1e-14 step test alone never passes
+    curve = SupportCurve((1.0, 0.0, 0.0327, 0.0, -0.00057)).normalized_to(np.pi)
+    s1 = 0.0327
+    [partner] = [r for r in arcs.scan_arc_roots(curve, s1) if r > np.pi]
+    assert partner - TWO_PI == pytest.approx(-0.033, abs=1e-3)
+    calls = []
+    real_eval = arcs.two_point_eval
+
+    def counted(*args):
+        calls.append(np.size(args[1]))
+        return real_eval(*args)
+
+    monkeypatch.setattr(arcs, "two_point_eval", counted)
+    for offset in (0.0, 1e-4, -1e-3, 1e-2):
+        calls.clear()
+        s2 = arcs._correct_s2(curve, s1, partner + offset, 0.2)
+        assert len(calls) <= 15 < arcs.NEWTON_MAX_ITER
+        assert abs(real_eval(curve, s1, s2)[0]) < arcs.NEWTON_F_TOL
+    # the array form stops each element on its own
+    calls.clear()
+    offsets = np.array([0.0, 1e-4, -1e-3, 1e-2])
+    got = arcs._correct_s2(curve, np.full(4, s1), partner + offsets, 0.2)
+    assert got.shape == (4,) and len(calls) <= 15
+    assert np.all(np.abs(real_eval(curve, s1, got)[0]) < arcs.NEWTON_F_TOL)
 
 
 # --- continuation ------------------------------------------------------------

@@ -150,6 +150,16 @@ def test_arcs_find(capsys):
     assert all(item["ortho_residual"] < 1e-9 for item in found)
 
 
+def test_arcs_find_disk_exits_3(capsys):
+    # f ≡ 0 on a circle: sign changes of f are rounding noise, not arcs
+    for extra in ([], ["--radius", "2.5"]):
+        code, out, err = run_cli(["arcs-find", "--preset", "disk", "--s1", "0.5",
+                                  *extra], capsys)
+        assert code == 3
+        assert out == ""
+        assert "precondition" in err and "circle" in err
+
+
 def test_perturb_roots(capsys):
     code, out, _ = run_cli(["perturb", "roots", "--n", "4"], capsys)
     assert code == 0

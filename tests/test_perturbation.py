@@ -133,6 +133,55 @@ def test_implicit_curve_passes_through_mode4_root():
     assert dist < 5e-3
 
 
+def implicit_curve_loop(x_range, y_range, resolution):
+    """Reference: the cell-by-cell marching-squares loop, one emit per edge."""
+    nx = ny = int(resolution)
+    xs = np.linspace(float(x_range[0]), float(x_range[1]), nx)
+    ys = np.linspace(float(y_range[0]), float(y_range[1]), ny)
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    vals = np.cos(yg) * np.sin(xg * yg) - xg * np.sin(yg) * np.cos(xg * yg)
+    pts = []
+
+    def emit(p0, v0, p1, v1):
+        if v0 == 0.0:
+            pts.append(p0)
+            return
+        if (v0 < 0.0) != (v1 < 0.0):
+            t = v0 / (v0 - v1)
+            pts.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
+
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            p00, p10 = (xs[i], ys[j]), (xs[i + 1], ys[j])
+            p01, p11 = (xs[i], ys[j + 1]), (xs[i + 1], ys[j + 1])
+            v00, v10 = vals[i, j], vals[i + 1, j]
+            v01, v11 = vals[i, j + 1], vals[i + 1, j + 1]
+            emit(p00, v00, p10, v10)
+            emit(p00, v00, p01, v01)
+            if i == nx - 2:
+                emit(p10, v10, p11, v11)
+            if j == ny - 2:
+                emit(p01, v01, p11, v11)
+    return np.array(pts) if pts else np.zeros((0, 2))
+
+
+@pytest.mark.parametrize("box, resolution, exact_x", [
+    (((-1.0, 1.0), (0.05, 1.5)), 201, (-1.0, 0.0, 1.0)),  # ±1 on the outer edges
+    (((-2.0, 2.0), (0.1, 1.4)), 5, (-1.0, 0.0, 1.0)),
+    (((-8.0, 8.0), (0.05, 1.5)), 161, (-1.0, 0.0, 1.0)),
+    (((3.5, 4.5), (1.0, 1.3)), 60, ()),
+    (((0.5, 1.5), (0.2, 1.2)), 2, ()),  # one cell
+    (((0.5, 1.5), (0.2, 1.2)), 1, ()),  # no cell
+])
+def test_implicit_curve_matches_cell_loop(box, resolution, exact_x):
+    # grid nodes on the zero lines x ∈ {−1, 0, 1} make F exactly 0 there
+    assert all(x in np.linspace(*box[0], resolution) for x in exact_x)
+    got = pert.implicit_curve_sample(*box, resolution)
+    want = implicit_curve_loop(*box, resolution)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_implicit_function_values():
     F = lambda x, y: np.cos(y) * np.sin(x * y) - x * np.sin(y) * np.cos(x * y)
     for y in (0.2, 0.9, 1.4):

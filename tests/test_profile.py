@@ -3,11 +3,12 @@ import logging
 import numpy as np
 import pytest
 
-from isoperim import disk
+from isoperim import arcs, disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
 from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
                              NotNormalized)
+from isoperim._roots import invert_monotone
 from isoperim.geometry import SupportCurve
 
 SQRT2 = np.sqrt(2.0)
@@ -183,6 +184,51 @@ def test_oracle_profile_symmetry(ellipse_main):
         lo = prof.general_profile_oracle(ellipse_main, a)
         hi = prof.general_profile_oracle(ellipse_main, np.pi - a)
         assert lo == pytest.approx(hi, abs=1e-9)
+
+
+def refine_one(curve, s1_a, s2_a, s1_b, s2_b, target):
+    """Reference: one segment at a time, Brent's method on the corrected arc."""
+    def arc_at(s1):
+        s2_seed = np.interp(s1, (s1_a, s1_b), (s2_a, s2_b))
+        s2 = arcs._correct_s2(curve, s1, s2_seed, 0.2)
+        lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
+        if not 0.0 < hi - lo < 2.0 * np.pi:
+            raise NoArcAtArea("branch left the parameter window")
+        return arcs.build_arc(curve, lo, hi, check_containment=False)
+
+    s1 = invert_monotone(lambda s: arc_at(s).enclosed_area - target,
+                         s1_a, s1_b, 1e-14)
+    return arc_at(s1).length
+
+
+@pytest.mark.parametrize("name, areas", [
+    ("ellipse", (0.4, 1.0, np.pi - 0.4)),
+    ("two-mode", (0.05, 0.8, 1.5)),
+    ("perturbed", (0.3, 1.0, 1.5)),
+])
+def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
+                                                      ellipse_main, fourier_domain):
+    curve = {"ellipse": ellipse_main, "two-mode": fourier_domain,
+             "perturbed": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(3), 5e-3)}[name]
+    batches = []
+
+    def spy(*args):
+        batches.append((args, prof_refine(*args)))
+        return batches[-1][1]
+
+    prof_refine = prof._refine_on_branch
+    monkeypatch.setattr(prof, "_refine_on_branch", spy)
+    for a in areas:
+        prof.general_profile_oracle(curve, a)
+    assert len(batches) == len(areas)
+    for (_, *segments), (length, failures) in batches:
+        assert len(length) == len(failures) == len(segments[0]) > 1
+        for i, seg in enumerate(zip(*segments)):
+            # the oracle value bound: both solvers stop at 1e-14 in s1, and
+            # the corrector leaves s2 ill-conditioned near vertices
+            assert failures[i] is None
+            assert length[i] == pytest.approx(refine_one(curve, *seg), abs=1e-11)
 
 
 def test_oracle_rejects_bad_area(unit_disk):
