@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+# before disk, else a full gc lands inside scipy's import and set-up slows
 from ._roots import invert_monotone_many
 from . import disk as diskmod
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
