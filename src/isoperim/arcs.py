@@ -31,8 +31,14 @@ from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
 SEGMENT_NORMAL_TOL = 1e-8
 NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# s2 points per s1 slice of the root scan
+SCAN_POINTS = 512
+# the scan skips s2 this close to s1, where f vanishes with the chord
+SCAN_EXCLUSION = 1e-2
 # grid points per block of the batched root scan; bounds its memory
 SCAN_BLOCK_POINTS = 4096
+# max |f| below which a boundary counts as a circle (f ≡ 0 there)
+CIRCLE_RESIDUAL_TOL = 1e-10
 
 
 def _cross(a, b):
@@ -115,11 +121,10 @@ def two_point_state(curve: PlaneBoundary, s1: float, s2: float) -> TwoPointState
                          two_point_grad(curve, s1, s2))
 
 
-def is_degenerate_pair(curve: PlaneBoundary, s1: float, s2: float,
-                       tol: float = 1e-9) -> bool:
-    """Both arclength partials of f vanish (to tol; they are scale-free)."""
+def is_degenerate_pair(curve: PlaneBoundary, s1: float, s2: float) -> bool:
+    """Both arclength partials of f vanish (to 1e-9; they are scale-free)."""
     g1, g2 = two_point_grad(curve, s1, s2)
-    return abs(g1) < tol and abs(g2) < tol
+    return abs(g1) < 1e-9 and abs(g2) < 1e-9
 
 
 def _wrap_mod_pi(x):
@@ -244,23 +249,19 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch
                     float(f_tol))
 
 
-def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float,
-              f_tol: float = 1e-8, contain_tol: float = 1e-9,
-              check_containment: bool = True) -> PerfectArc:
+def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float) -> PerfectArc:
     """Construct the perfect arc certified by f(t_lo, t_hi) ≈ 0.
 
-    One element of `arc_batch`, plus the circle's center and, unless
-    check_containment is False, a test of interior arc points against the
-    boundary. Raises the element's failure.
+    One element of `arc_batch`, plus the circle's center and a test of
+    interior arc points against the boundary. Raises the element's failure.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not 0.0 < t_hi - t_lo < TWO_PI:
         raise ValueError("need t_lo < t_hi with t_hi - t_lo in (0, 2pi)")
-    arc = arc_batch(curve, t_lo, t_hi, f_tol)
+    arc = arc_batch(curve, t_lo, t_hi)
     arc.raise_first()
     a_pt, b_pt, alpha = arc.a_pt[0], arc.b_pt[0], float(arc.alpha[0])
-    contained = (check_containment and
-                 _sample_containment(curve, a_pt, b_pt, alpha, contain_tol))
+    contained = _sample_containment(curve, a_pt, b_pt, alpha)
     common = dict(curvature=float(arc.curvature[0]), endpoint_thetas=(t_lo, t_hi),
                   length=float(arc.length[0]), enclosed_area=float(arc.area[0]),
                   contained=contained, ortho_residual=float(arc.ortho[0]))
@@ -273,20 +274,21 @@ def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float,
     return PerfectArc("circular", center, radius, **common)
 
 
-def _sample_containment(curve, a_pt, b_pt, alpha, tol, n: int = 33):
-    """Test interior arc points against the boundary.
+def _sample_containment(curve, a_pt, b_pt, alpha):
+    """Test 33 interior arc points against the boundary.
 
     Arc points are generated in the chord frame (no center involved): with
     β = |α| and ψ ∈ (−β, β),
     P(ψ) = M + d·(sin ψ/sin β)·ĉ − sign(α)·d·(cos ψ − cos β)/sin β·ĉ⊥,
     which keeps the sagitta on the side away from the circle center.
     """
+    n = 33
     mid = 0.5 * (a_pt + b_pt)
     half = 0.5 * (a_pt - b_pt)
     if abs(alpha) < 1e-12:
         x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
         pts = mid + np.outer(x, half)
-        return curve.contains_many(pts, tol)
+        return curve.contains_many(pts)
     perp = np.array([-half[1], half[0]])
     beta = abs(alpha)
     psi = np.linspace(-beta, beta, n + 2)[1:-1]
@@ -295,7 +297,7 @@ def _sample_containment(curve, a_pt, b_pt, alpha, tol, n: int = 33):
     bulge = -np.sign(alpha) * (2.0 * np.sin((beta + psi) / 2.0)
                                * np.sin((beta - psi) / 2.0)) / np.sin(beta)
     pts = mid + np.outer(along, half) + np.outer(bulge, perp)
-    return curve.contains_many(pts, tol)
+    return curve.contains_many(pts)
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +322,7 @@ def _cell_roots(curve: PlaneBoundary, s1, grid, vals, xatol: float) -> tuple:
     return row, np.where(vals[row, col] == 0.0, lo, x)
 
 
-def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
-                   exclusion: float = 1e-2):
+def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
     s1 may be a 1-D array, giving one root list per slice; a scalar s1 gives
@@ -332,7 +333,8 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
     wrong reason and the root is spurious.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
-    grid = s1_arr[:, None] + np.linspace(exclusion, TWO_PI - exclusion, n_scan)
+    grid = s1_arr[:, None] + np.linspace(SCAN_EXCLUSION, TWO_PI - SCAN_EXCLUSION,
+                                         n_scan)
     step = max(1, SCAN_BLOCK_POINTS // max(n_scan, 1))
     vals = np.concatenate([
         two_point_f_many(curve, s1_arr[i:i + step, None], grid[i:i + step])
@@ -351,11 +353,13 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = 512,
     return good if np.ndim(s1) else good[0]
 
 
-def max_two_point_residual(curve: PlaneBoundary, n: int = 24) -> float:
-    """max |f| over a coarse endpoint-pair grid; ~0 exactly for circles."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
-    vals = two_point_f_many(curve, t, t + np.linspace(0.3, TWO_PI - 0.3, n))
-    return float(np.max(np.abs(vals)))
+def is_circle(curve: PlaneBoundary) -> bool:
+    """Every endpoint pair is perfect: max |f| over a coarse 24 × 24 pair
+    grid stays below CIRCLE_RESIDUAL_TOL. A sign change of f on a circle
+    is rounding noise, so the root scan cannot be used there."""
+    t = np.linspace(0.0, TWO_PI, 24, endpoint=False)[:, None]
+    vals = two_point_f_many(curve, t, t + np.linspace(0.3, TWO_PI - 0.3, 24))
+    return float(np.max(np.abs(vals))) < CIRCLE_RESIDUAL_TOL
 
 
 # --------------------------------------------------------------------------

@@ -139,9 +139,7 @@ def cmd_check_conjecture(args) -> int:
 
 def cmd_arcs_find(args) -> int:
     curve = _load_domain(args)
-    # on a circle f ≡ 0, so any sign change of f is rounding noise
-    if (arcsmod.max_two_point_residual(curve)
-            < profilemod.OracleConfig().circle_residual_tol):
+    if arcsmod.is_circle(curve):
         raise IsDisk("every endpoint pair of a circle bounds a perfect arc; "
                      "arcs-find needs a non-circular domain")
     roots = arcsmod.scan_arc_roots(curve, args.s1, args.grid)
@@ -181,10 +179,7 @@ def cmd_perturb_experiment(args) -> int:
         area = roots[0].area if roots else np.pi / 2.0 - 1.0
     n_steps = max(3, args.s_steps)
     s_grid = tuple(args.s_max * (k + 1) / n_steps for k in range(n_steps))
-    config = pertmod.ExperimentConfig(
-        s_grid=s_grid,
-        oracle=profilemod.OracleConfig(n_s1=args.grid),
-    )
+    config = pertmod.ExperimentConfig(s_grid=s_grid, n_s1=args.grid)
     report = pertmod.profile_decrease_experiment(f, area, config)
     _emit(_json_dump(report.to_dict()), args.output)
     return EXIT_OK
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_args(p)
     p.add_argument("--s1", type=_finite, required=True,
                    help="first endpoint (normal angle, radians)")
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=arcsmod.SCAN_POINTS)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_arcs_find)
 
@@ -245,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="target area (default: the mode's critical area)")
     pe.add_argument("--s-max", type=_finite, default=5e-3)
     pe.add_argument("--s-steps", type=int, default=5)
-    pe.add_argument("--grid", type=int, default=96)
+    pe.add_argument("--grid", type=int, default=profilemod.N_S1)
     pe.add_argument("--output", "-o")
     pe.set_defaults(fn=cmd_perturb_experiment)
 

@@ -76,13 +76,13 @@ class DiskArcParam:
                             curvature=theta_to_curvature(theta))
 
 
-def area_to_theta(a: float, tol: float = 1e-14) -> float:
+def area_to_theta(a: float) -> float:
     """Invert the monotone area map on (0, π/2) by Brent's method."""
     a = float(a)
     if not 0.0 < a <= HALF_PI:
         raise OutOfRange(f"area must lie in (0, pi/2], got {a}")
     return invert_monotone(lambda t: theta_to_area(t) - a,
-                           1e-12, HALF_PI - 1e-15, tol)
+                           1e-12, HALF_PI - 1e-15, 1e-14)
 
 
 def profile(a: float) -> float:

@@ -27,6 +27,8 @@ TWO_PI = 2.0 * np.pi
 
 # dense grid size for convexity / extrema scans
 SCAN_NODES = 4096
+# slack of the containment tests, for points on the boundary itself
+CONTAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +62,7 @@ class PlaneBoundary:
     def area(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def contains(self, point, tol: float = 1e-9) -> bool:  # pragma: no cover
+    def contains(self, point) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     def moment_between(self, t0, t1):
@@ -144,11 +146,6 @@ class SupportCurve(PlaneBoundary):
         series = fit_periodic(fn)
         return SupportCurve(tuple(series.cos_c), tuple(series.sin_c[1:]))
 
-    @staticmethod
-    def from_support_function(fn, n_samples: int = 4096) -> "SupportCurve":
-        series = fit_periodic(fn, n_samples)
-        return SupportCurve(tuple(series.cos_c), tuple(series.sin_c[1:]))
-
     # --- geometry ------------------------------------------------------------
 
     def h(self, theta):
@@ -161,9 +158,9 @@ class SupportCurve(PlaneBoundary):
         rho = self.rho_series(theta)
         return 1.0 / rho
 
-    def require_convex(self, margin: float = 0.0):
-        if self._min_rho <= margin:
-            raise NonConvex(f"h + h'' has minimum {self._min_rho:.3e} <= {margin}")
+    def require_convex(self):
+        if self._min_rho <= 0.0:
+            raise NonConvex(f"h + h'' has minimum {self._min_rho:.3e} <= 0.0")
 
     def sample(self, theta) -> CurveSamples:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -204,14 +201,14 @@ class SupportCurve(PlaneBoundary):
         normals = np.stack([np.cos(t), np.sin(t)], axis=-1)
         return normals, self.h_series(t)
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
+    def contains(self, point) -> bool:
         """Support test P·N(φ) ≤ h(φ) on a dense grid of directions."""
-        return self.contains_many(np.asarray(point, float)[None, :], tol)
+        return self.contains_many(np.asarray(point, float)[None, :])
 
-    def contains_many(self, points, tol: float = 1e-9) -> bool:
+    def contains_many(self, points) -> bool:
         normals, h = self._support_table
         margins = h[None, :] - np.asarray(points, float) @ normals.T
-        return bool(np.min(margins) >= -tol)
+        return bool(np.min(margins) >= -CONTAIN_TOL)
 
     # --- arclength -----------------------------------------------------------
 
@@ -253,10 +250,6 @@ class RadialCurve(PlaneBoundary):
 
     def __init__(self, radius_series: TrigSeries):
         self.radius_series = radius_series
-
-    @staticmethod
-    def from_function(fn, n_samples: int = 4096) -> "RadialCurve":
-        return RadialCurve(fit_periodic(fn, n_samples))
 
     @cached_property
     def _moment_series(self) -> TrigSeries:
@@ -301,14 +294,14 @@ class RadialCurve(PlaneBoundary):
         u = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
         return float(np.min(self.sample(u).curvature))
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        return self.contains_many(np.asarray(point, float)[None, :], tol)
+    def contains(self, point) -> bool:
+        return self.contains_many(np.asarray(point, float)[None, :])
 
-    def contains_many(self, points, tol: float = 1e-9) -> bool:
+    def contains_many(self, points) -> bool:
         p = np.asarray(points, dtype=float)
         rad = np.hypot(p[:, 0], p[:, 1])
         bound = self.radius_series(np.arctan2(p[:, 1], p[:, 0]))
-        return bool(np.all(rad <= bound + tol))
+        return bool(np.all(rad <= bound + CONTAIN_TOL))
 
     def scaled(self, lam: float) -> "RadialCurve":
         rs = self.radius_series
@@ -340,10 +333,10 @@ SYMMETRY_TOL = 1e-12
 DEGENERATE_KPP_TOL = 1e-8
 
 
-def _is_disk_coeffs(curve: SupportCurve, tol: float = SYMMETRY_TOL) -> bool:
+def _is_disk_coeffs(curve: SupportCurve) -> bool:
     scale = max(abs(curve.cos_coeffs[0]), 1.0)
     rest = list(curve.cos_coeffs[1:]) + list(curve.sin_coeffs)
-    return all(abs(c) <= tol * scale for c in rest)
+    return all(abs(c) <= SYMMETRY_TOL * scale for c in rest)
 
 
 def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
@@ -365,10 +358,10 @@ def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
     return k_s, k_ss, k_sss
 
 
-def find_vertices(curve: SupportCurve, n_scan: int = SCAN_NODES):
+def find_vertices(curve: SupportCurve):
     """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan + Brent."""
     rho1 = curve.rho_series.derivative()
-    t = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+    t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
     vals = rho1(t)
     # close the periodic scan so the cell that wraps past 2π is searched too
     roots = sign_change_roots(rho1, np.append(t, TWO_PI),
@@ -383,7 +376,7 @@ def find_vertices(curve: SupportCurve, n_scan: int = SCAN_NODES):
     return uniq
 
 
-def classify(curve: SupportCurve, n_scan: int = SCAN_NODES) -> DomainClassReport:
+def classify(curve: SupportCurve) -> DomainClassReport:
     """Locate vertices, report curvature extremes and the symmetry class.
 
     The disk is reported as a distinguished degenerate case (κ' ≡ 0): it gets
@@ -393,7 +386,7 @@ def classify(curve: SupportCurve, n_scan: int = SCAN_NODES) -> DomainClassReport
     area = curve.area()
     perimeter = TWO_PI * curve.cos_coeffs[0]
 
-    t = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+    t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
     kap = 1.0 / curve.rho_series(t)
 
     if _is_disk_coeffs(curve):
@@ -401,7 +394,7 @@ def classify(curve: SupportCurve, n_scan: int = SCAN_NODES) -> DomainClassReport
         return DomainClassReport(False, (), k, k, area, perimeter,
                                  is_disk=True, degenerate=True)
 
-    vertices = find_vertices(curve, n_scan)
+    vertices = find_vertices(curve)
     kap_v = [float(1.0 / curve.rho(v)) for v in vertices]
     kappa_max = max([float(np.max(kap))] + kap_v)
     kappa_min = min([float(np.min(kap))] + kap_v)

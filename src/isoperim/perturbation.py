@@ -17,7 +17,7 @@ fits its first and second order in the perturbation size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .geometry import RadialCurve, TWO_PI
 from .trig import TrigSeries, fit_periodic
 
 HALF_PI = np.pi / 2.0
+# accuracy of one oracle value; sets the experiment's noise floor and flatness
+ORACLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,17 +40,16 @@ class PerturbationField:
 
     fourier_cos: tuple = ()
     fourier_sin: tuple = ()
-    description: str = ""
 
     @staticmethod
-    def mode(n: int, amplitude: float = 1.0, phase: str = "cos",
-             description: str = "") -> "PerturbationField":
+    def mode(n: int, phase: str = "cos") -> "PerturbationField":
+        """cos(nu), or sin(nu) for phase="sin"."""
         if n < 1:
             raise ValueError("mode index must be >= 1")
-        coeffs = (0.0,) * (n - 1) + (float(amplitude),)
+        coeffs = (0.0,) * (n - 1) + (1.0,)
         if phase == "cos":
-            return PerturbationField(coeffs, (), description or f"cos({n}u)")
-        return PerturbationField((), coeffs, description or f"sin({n}u)")
+            return PerturbationField(coeffs, ())
+        return PerturbationField((), coeffs)
 
     def _series(self) -> TrigSeries:
         return TrigSeries(np.concatenate([[0.0], np.asarray(self.fourier_cos, float)]),
@@ -85,9 +86,9 @@ def first_variation_l(f: PerturbationField, b: float, u) -> np.ndarray | float:
     return out if u_arr.ndim else float(out)
 
 
-def mean_l(f: PerturbationField, b: float, n_nodes: int = 4096) -> float:
+def mean_l(f: PerturbationField, b: float) -> float:
     """∫_0^{2π} l(u) du by spectral trapezoid; identically 0 for zero-mean f."""
-    u = np.linspace(0.0, TWO_PI, n_nodes, endpoint=False)
+    u = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     return float(np.mean(first_variation_l(f, b, u)) * TWO_PI)
 
 
@@ -110,11 +111,12 @@ class ModeRoot:
     area: float
 
 
-def find_mode_roots(n: int, n_scan: int = 10_000, delta: float = 1e-6) -> list:
-    """All roots of the mode condition in (0, π/2): grid scan + Brent to 1e-13."""
+def find_mode_roots(n: int) -> list:
+    """All roots of the mode condition in [1e-6, π/2 − 1e-6]: a 10,000-point
+    grid scan + Brent to 1e-13."""
     if n < 2:
         raise ValueError("nontrivial modes start at n = 2 (n = 1 is translation)")
-    grid = np.linspace(delta, HALF_PI - delta, n_scan)
+    grid = np.linspace(1e-6, HALF_PI - 1e-6, 10_000)
     roots = sign_change_roots(lambda b: mode_condition(n, b), grid,
                               mode_condition(n, grid), 1e-13)
     return [ModeRoot(n=n, b=r, theta=r, area=diskmod.theta_to_area(r))
@@ -208,11 +210,10 @@ def aggregate_second_variation(f: PerturbationField) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Controls for the profile-decrease fit."""
+    """The s-grid of the profile-decrease fit and the oracle's s1 slices."""
 
     s_grid: tuple = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3)
-    oracle_tol: float = 1e-6
-    oracle: profilemod.OracleConfig = field(default_factory=profilemod.OracleConfig)
+    n_s1: int = profilemod.N_S1
 
 
 @dataclass(frozen=True)
@@ -247,11 +248,11 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     """Measure I_{Ω_s}(area) over an s-grid and fit the leading orders.
 
     The profile at s = 0 is included in the fit and must agree with the
-    closed-form disk profile within the oracle tolerance. The verdict is
-    first_order_decrease when α clears the noise floor 10·tol/s_max,
+    closed-form disk profile within ORACLE_TOL. The verdict is
+    first_order_decrease when α clears the noise floor 10·ORACLE_TOL/s_max,
     second_order_decrease when the profile moved but α does not clear it
-    and β < 0, and no_decrease when the profile is flat within 5·tol
-    (rigid motions).
+    and β < 0, and no_decrease when the profile is flat within
+    5·ORACLE_TOL (rigid motions).
     """
     if not 0.0 < area < np.pi:
         raise OutOfRange(f"target area must lie in (0, pi), got {area}")
@@ -263,17 +264,17 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     def profile_at(s):
         curve = builder(s)
         try:
-            return profilemod.general_profile_oracle(curve, area, config.oracle)
+            return profilemod.general_profile_oracle(curve, area, config.n_s1)
         except Exception as exc:  # noqa: BLE001 - surfaced with context
             raise OracleFailure(f"profile oracle failed at s={s}: {exc}") from exc
 
     values = tuple(profile_at(s) for s in s_values)
 
     i_disk = diskmod.profile(area)
-    if abs(values[0] - i_disk) > config.oracle_tol:
+    if abs(values[0] - i_disk) > ORACLE_TOL:
         raise OracleFailure(
             f"oracle at s=0 deviates from the disk profile by "
-            f"{values[0] - i_disk:.3e} (tol {config.oracle_tol:.1e})")
+            f"{values[0] - i_disk:.3e} (tol {ORACLE_TOL:.1e})")
 
     s_arr = np.asarray(s_values)
     design = np.stack([np.ones_like(s_arr), s_arr, s_arr ** 2], axis=-1)
@@ -281,9 +282,9 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     intercept, alpha, beta = (float(c) for c in coef)
 
     s_max = float(np.max(s_arr))
-    noise_floor = 10.0 * config.oracle_tol / s_max
+    noise_floor = 10.0 * ORACLE_TOL / s_max
     flat = float(np.max(np.abs(np.asarray(values) - values[0])))
-    if flat <= 5.0 * config.oracle_tol:
+    if flat <= 5.0 * ORACLE_TOL:
         verdict = "no_decrease"
     elif alpha < -noise_floor:
         verdict = "first_order_decrease"

@@ -37,6 +37,12 @@ HALF_PI = np.pi / 2.0
 # the refinement's corrector bracket: the partner s2 stays this close to the
 # partner interpolated along the branch segment
 BRANCH_HALFWIDTH = 0.2
+# s1 slices of the oracle's root scan
+N_S1 = 96
+# largest gap between the Green and the dA = (1/k)dL areas of the family
+AREA_CROSS_CHECK_TOL = 1e-7
+# areas below this are certified by the small-area expansion, not sampled
+AREA_FLOOR = 0.02
 
 log = logging.getLogger("isoperim")
 
@@ -92,21 +98,25 @@ def _family_curvature(curve: SupportCurve, theta):
     return np.cos(theta) / _upper_endpoint_height(curve, theta)
 
 
-def require_class_a(curve: SupportCurve, allow_disk: bool = False):
+def require_class_a(curve: SupportCurve, allow_disk: bool):
+    """Classify the domain and refuse what the symmetric family cannot
+    handle: a disk (unless allowed), a domain outside class A or with its
+    major axis on y, then an area other than π."""
     report = classify(curve)
     if report.is_disk:
-        if allow_disk:
-            return report
-        raise IsDisk("domain is a disk")
-    if not report.is_class_A:
+        if not allow_disk:
+            raise IsDisk("domain is a disk")
+    elif not report.is_class_A:
         raise NotClassA("domain is not bi-axially symmetric with four vertices")
-    if 1.0 / curve.rho(0.0) < 1.0 / curve.rho(HALF_PI):
+    elif 1.0 / curve.rho(0.0) < 1.0 / curve.rho(HALF_PI):
         raise NotClassA("major axis must lie on the x-axis "
                         "(rotate the domain by pi/2)")
+    if abs(report.area - np.pi) > 1e-8:
+        raise NotNormalized(f"area {report.area:.12g} != pi; normalize first")
     return report
 
 
-def _family_area_quadrature(curve: SupportCurve, theta_grid, n_fine: int = 16384):
+def _family_area_quadrature(curve: SupportCurve, theta_grid):
     """Cumulative area from dA = (1/k)dL, as an independent cross-check.
 
     dA/dθ = y(Pρc² + Psy − 2yc)/c³ with P = π−2θ, c = cosθ, s = sinθ has a
@@ -115,6 +125,7 @@ def _family_area_quadrature(curve: SupportCurve, theta_grid, n_fine: int = 16384
     cancelling factors P = 2t and c = sin t carry relative, not absolute,
     rounding; the endpoint node itself uses the analytic limit.
     """
+    n_fine = 16384
     t = np.linspace(0.0, HALF_PI, n_fine + 1)  # offset from pi/2
     theta_f = HALF_PI - t
     y = _upper_endpoint_height(curve, theta_f)
@@ -136,8 +147,7 @@ def _family_area_quadrature(curve: SupportCurve, theta_grid, n_fine: int = 16384
     return total - PchipInterpolator(t, cum)(offsets)
 
 
-def symmetric_profile(curve: SupportCurve, n_samples: int = 256,
-                      cross_check_tol: float = 1e-7) -> ProfileTable:
+def symmetric_profile(curve: SupportCurve, n_samples: int = 256) -> ProfileTable:
     """Profile table of the x-axis-symmetric arc family (class-A domains).
 
     Areas come from the Green-theorem arc construction and are cross-checked
@@ -145,9 +155,11 @@ def symmetric_profile(curve: SupportCurve, n_samples: int = 256,
     form in the support function.
     """
     require_class_a(curve, allow_disk=True)
-    if abs(curve.area() - np.pi) > 1e-8:
-        raise NotNormalized(f"area {curve.area():.12g} != pi; normalize first")
+    return _symmetric_table(curve, n_samples)
 
+
+def _symmetric_table(curve: SupportCurve, n_samples: int) -> ProfileTable:
+    """`symmetric_profile` of a domain that `require_class_a` admitted."""
     theta = profile_grid(n_samples)
     length = _family_length(curve, theta)
     curvature = _family_curvature(curve, theta)
@@ -158,7 +170,7 @@ def symmetric_profile(curve: SupportCurve, n_samples: int = 256,
 
     check = _family_area_quadrature(curve, theta)
     worst = float(np.max(np.abs(check - area)))
-    if worst > cross_check_tol:
+    if worst > AREA_CROSS_CHECK_TOL:
         raise NumericalError(
             f"area cross-check failed: Green vs dA=(1/k)dL differ by {worst:.3e}")
 
@@ -167,17 +179,18 @@ def symmetric_profile(curve: SupportCurve, n_samples: int = 256,
 
 def family_area_at(curve: SupportCurve, theta: float) -> float:
     """Green-theorem area of the symmetric arc at half-angle theta."""
-    return arcsmod.build_arc(curve, -theta, theta).enclosed_area
+    arc = arcsmod.arc_batch(curve, -theta, theta)
+    arc.raise_first()
+    return float(arc.area[0])
 
 
-def family_theta_at_area(curve: SupportCurve, target: float,
-                         tol: float = 1e-13) -> float:
+def family_theta_at_area(curve: SupportCurve, target: float) -> float:
     """Invert the monotone A(θ) of the symmetric family by Brent's method."""
     lo, hi = 1e-9, HALF_PI
     if not family_area_at(curve, lo) <= target <= curve.area() / 2.0 + 1e-12:
         raise NoArcAtArea(f"area {target} outside the symmetric family range")
     return invert_monotone(lambda th: family_area_at(curve, th) - target,
-                           lo, hi, tol)
+                           lo, hi, 1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -206,17 +219,16 @@ class ConjectureReport:
         }
 
 
-def conjecture_check(curve: SupportCurve, n_samples: int = 256,
-                     area_floor: float = 0.02) -> ConjectureReport:
+def conjecture_check(curve: SupportCurve, n_samples: int = 256) -> ConjectureReport:
     """sup L(A)/L*(A) over the symmetric family versus the unit disk.
 
     The ratio tends to 1 from below as A → 0 whenever κ_max > 1, so areas
-    below `area_floor` are certified by the small-area expansion and the
-    supremum is reported over [area_floor, π/2]; the profile symmetry covers
+    below AREA_FLOOR are certified by the small-area expansion and the
+    supremum is reported over [AREA_FLOOR, π/2]; the profile symmetry covers
     the other half of the range.
     """
     report = require_class_a(curve, allow_disk=False)
-    table = symmetric_profile(curve, n_samples)
+    table = _symmetric_table(curve, n_samples)
 
     if report.kappa_max <= 1.0:
         raise NumericalError("kappa_max <= 1 for an area-pi non-disk domain; "
@@ -224,14 +236,14 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
     # small-area regime: ratio ≈ (1 − s√(A/2π))/(1 − s*√(A/2π)), s > s* ⇔ κmax > 1
     slope_dom = 4.0 * report.kappa_max / (3.0 * np.pi)
     slope_disk = 4.0 / (3.0 * np.pi)
-    for a_test in (area_floor / 2.0, area_floor / 10.0):
+    for a_test in (AREA_FLOOR / 2.0, AREA_FLOOR / 10.0):
         expansion = ((1.0 - slope_dom * np.sqrt(a_test / TWO_PI))
                      / (1.0 - slope_disk * np.sqrt(a_test / TWO_PI)))
         if expansion >= 1.0:
             raise NumericalError("small-area expansion does not certify the "
                                  "ratio below the area floor")
 
-    mask = table.area >= area_floor
+    mask = table.area >= AREA_FLOOR
     if not np.any(mask):
         raise NumericalError("area floor exceeds the sampled range")
     l_of_a = PchipInterpolator(table.area, table.length)
@@ -244,7 +256,7 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
     i_max = int(np.argmax(r_samp))
     lo = a_samp[max(0, i_max - 1)]
     hi = a_samp[min(len(a_samp) - 1, i_max + 1)]
-    lo = max(lo, area_floor)
+    lo = max(lo, AREA_FLOOR)
     res = minimize_scalar(lambda a: -ratio(a), bounds=(float(lo), float(hi)),
                           method="bounded",
                           options={"xatol": 1e-12 * max(1.0, float(hi))})
@@ -252,8 +264,8 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
     if r_samp[i_max] > r_star:
         a_star, r_star = float(a_samp[i_max]), float(r_samp[i_max])
 
-    span = float(a_samp[-1]) - area_floor
-    interior = (a_star - area_floor > 1e-3 * span
+    span = float(a_samp[-1]) - AREA_FLOOR
+    interior = (a_star - AREA_FLOOR > 1e-3 * span
                 and float(a_samp[-1]) - a_star > 1e-3 * span)
     stationarity = None
     if interior:
@@ -267,7 +279,7 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
         argmax_area=float(a_star),
         passed=bool(r_star < 1.0),
         margin=float(1.0 - r_star),
-        area_floor=float(area_floor),
+        area_floor=AREA_FLOOR,
         stationarity_residual=stationarity,
     )
 
@@ -275,16 +287,6 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256,
 # --------------------------------------------------------------------------
 # general brute-force oracle
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the arc-enumeration profile oracle."""
-
-    n_s1: int = 96
-    n_scan: int = 512
-    exclusion: float = 1e-2
-    circle_residual_tol: float = 1e-10
-
 
 def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     """Profile of a circle-like domain (every endpoint pair is perfect).
@@ -375,10 +377,10 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
 
 
 def general_profile_oracle(curve: PlaneBoundary, target_area: float,
-                           config: OracleConfig = OracleConfig()) -> float:
+                           n_s1: int = N_S1) -> float:
     """Brute-force profile value: enumerate perfect arcs, refine at the area.
 
-    Scans s1 over the boundary, finds every s2 root of the two-point
+    Scans n_s1 slices of s1 over the boundary, finds every s2 root of the two-point
     function and the area of its arc, and matches roots across neighboring
     s1 into branches. An arc's complement has the same length and area
     |Ω| − A, so each branch segment whose end areas straddle the target or
@@ -389,17 +391,16 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     if not 0.0 < target_area < total:
         raise NoArcAtArea(f"target area {target_area} outside (0, {total:.6g})")
 
-    if arcsmod.max_two_point_residual(curve) < config.circle_residual_tol:
+    if arcsmod.is_circle(curve):
         return _circle_profile_value(curve, target_area)
 
     # half-step offset keeps s1 off symmetry axes, where partner roots are
     # even-order zeros of f(s1, ·) that a sign-change scan cannot see
-    step = TWO_PI / config.n_s1
-    s1_grid = (np.arange(config.n_s1) + 0.5) * step
+    step = TWO_PI / n_s1
+    s1_grid = (np.arange(n_s1) + 0.5) * step
 
     # per s1 slice: root offsets s2 - s1, arc areas
-    roots = arcsmod.scan_arc_roots(curve, s1_grid, config.n_scan,
-                                   config.exclusion)
+    roots = arcsmod.scan_arc_roots(curve, s1_grid)
     counts = [len(r) for r in roots]
     s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
     table = arcsmod.arc_batch(curve, s1_all, s2_all)
@@ -412,11 +413,11 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     match_radius = 3.0 * step
     targets = {target_area, total - target_area}
     segments = []  # (s1_a, s2_a, s1_b, s2_b, target) straddling a target
-    for i in range(config.n_s1):
+    for i in range(n_s1):
         s1_a = float(s1_grid[i])
         for off_a, area_a in zip(offsets[i], areas[i]):
             for skip in (1, 2):  # bridge one missing slice on a branch
-                j = (i + skip) % config.n_s1
+                j = (i + skip) % n_s1
                 dist = np.abs(offsets[j] - off_a)
                 if np.any(dist < match_radius * skip):
                     k = int(np.argmin(dist))
@@ -453,13 +454,14 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
 # small-area asymptotics
 # --------------------------------------------------------------------------
 
-def richardson_slope(profile_fn, areas=(1e-3, 1e-4, 1e-5)) -> float:
+def richardson_slope(profile_fn) -> float:
     """Extrapolated limit of (I(a) − √(2πa))/a as a → 0.
 
     The residual expands in powers of √a, so Neville extrapolation in
-    x = √a to x = 0 removes the leading corrections.
+    x = √a to x = 0, from a = 1e-3, 1e-4 and 1e-5, removes the leading
+    corrections.
     """
-    areas = sorted((float(a) for a in areas), reverse=True)
+    areas = [1e-3, 1e-4, 1e-5]
     xs = [np.sqrt(a) for a in areas]
     coef = [(profile_fn(a) - np.sqrt(TWO_PI * a)) / a for a in areas]
     n = len(xs)

@@ -83,10 +83,7 @@ class TrigSeries:
         gb = _to_complex(other)
         return _from_complex(np.convolve(ga, gb))
 
-    def mean(self) -> float:
-        return float(self.cos_c[0])
-
-    def truncated(self, rel_tol: float = 1e-15) -> "TrigSeries":
+    def truncated(self, rel_tol: float) -> "TrigSeries":
         mag = np.maximum(np.abs(self.cos_c), np.abs(self.sin_c))
         floor = rel_tol * max(mag.max(), 1e-300)
         keep = np.nonzero(mag > floor)[0]
@@ -108,11 +105,12 @@ def _from_complex(g: np.ndarray) -> TrigSeries:
     return TrigSeries(cos_c, sin_c).truncated(1e-16)
 
 
-def fit_periodic(fn, n_samples: int = 4096, rel_tol: float = 1e-15) -> TrigSeries:
+def fit_periodic(fn, n_samples: int = 4096) -> TrigSeries:
     """Fit a smooth 2π-periodic callable by FFT on a uniform grid.
 
-    Aliasing is below rel_tol once the function's coefficients have decayed
-    by mode n_samples/2, which holds for every analytic curve used here.
+    Coefficients below 1e-15 of the largest are dropped. Aliasing is below
+    that once the function's coefficients have decayed by mode n_samples/2,
+    which holds for every analytic curve used here.
     """
     t = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     vals = np.asarray(fn(t), dtype=float)
@@ -121,4 +119,4 @@ def fit_periodic(fn, n_samples: int = 4096, rel_tol: float = 1e-15) -> TrigSerie
     cos_c[0] = spec[0].real
     sin_c = -2.0 * spec.imag
     # drop the ambiguous Nyquist bin
-    return TrigSeries(cos_c[:-1], sin_c[:-1]).truncated(rel_tol)
+    return TrigSeries(cos_c[:-1], sin_c[:-1]).truncated(1e-15)

@@ -103,9 +103,9 @@ def test_criterion_05_dl_equals_k_da(unit_disk, class_a_suite):
         h = theta[1] - theta[0]
         length = prof._family_length(curve, theta)
         kappa = prof._family_curvature(curve, theta)
-        area = np.array([
-            arcs.build_arc(curve, -t, t, check_containment=False).enclosed_area
-            for t in theta])
+        batch = arcs.arc_batch(curve, -theta, theta)
+        batch.raise_first()
+        area = batch.area
         # fourth-order central differences on the uniform grid
         dl = (length[:-4] - 8 * length[1:-3] + 8 * length[3:-1] - length[4:]) / (12 * h)
         da = (area[:-4] - 8 * area[1:-3] + 8 * area[3:-1] - area[4:]) / (12 * h)

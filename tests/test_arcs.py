@@ -415,6 +415,26 @@ def test_batched_scan_matches_dense_scan(name, ellipse_main, fourier_domain):
     assert missed_slices == (12 if name == "perturbed" else 0)
 
 
+@pytest.mark.parametrize("name, circle", [
+    ("disk", True), ("disk r=1.7", True),
+    ("translated 0.3", True), ("translated -0.6", True),
+    ("ellipse", False), ("ellipse aspect 1.05", False),
+    ("perturbed s=1e-6", False),
+])
+def test_is_circle(name, circle, unit_disk, ellipse_main):
+    # max |f| on the pair grid: ≤ 3.4e-14 on the circles, 2.6e-6 on the
+    # perturbed disk
+    aspect = np.sqrt(1.05)
+    curve = {"disk": unit_disk, "disk r=1.7": SupportCurve.disk(1.7),
+             "translated 0.3": pert.translated_disk(0.3),
+             "translated -0.6": pert.translated_disk(-0.6),
+             "ellipse": ellipse_main,
+             "ellipse aspect 1.05": SupportCurve.ellipse(aspect, 1.0 / aspect),
+             "perturbed s=1e-6": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(2), 1e-6)}[name]
+    assert arcs.is_circle(curve) is circle
+
+
 def test_scan_without_cells_finds_nothing(ellipse_main):
     for n_scan in (0, 1):
         assert arcs.scan_arc_roots(ellipse_main, 0.3, n_scan) == []

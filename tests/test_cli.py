@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from isoperim import cli, disk
+from isoperim import cli, disk, profile
 
 SQRT2 = np.sqrt(2.0)
 
@@ -194,6 +195,24 @@ def test_flags_override_spec_file(tmp_path, capsys):
          "--a", str(SQRT2), "--b", str(1.0 / SQRT2)], capsys)
     assert code == 0
     assert json.loads(out)["area"] == pytest.approx(np.pi, abs=1e-9)
+
+
+def test_experiment_cli_grid_reaches_oracle(monkeypatch, capsys):
+    # the spy stands in for the oracle: only the wiring is under test
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments["n_s1"])
+        return disk.profile(bound.arguments["target_area"])
+
+    signature = inspect.signature(profile.general_profile_oracle)
+    monkeypatch.setattr(profile, "general_profile_oracle", spy)
+    code, _, _ = run_cli(["perturb", "experiment", "--mode", "3",
+                          "--area", "1.0", "--grid", "64"], capsys)
+    assert code == 0
+    assert calls == [64] * 6  # s = 0 and the five default s values
 
 
 def test_experiment_cli_smoke(tmp_path, capsys):

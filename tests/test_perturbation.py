@@ -257,6 +257,6 @@ def test_translation_control_profile_flat():
         domain_builder=pert.translated_disk)
     assert report.verdict == "no_decrease"
     spread = max(report.profile_values) - min(report.profile_values)
-    assert spread < 5.0 * config.oracle_tol
+    assert spread < 5.0 * pert.ORACLE_TOL
     assert report.profile_values[0] == pytest.approx(
         disk.profile(np.pi / 2.0 - 1.0), abs=1e-9)

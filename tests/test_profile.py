@@ -88,7 +88,11 @@ def test_height_gap_dips_once_at_unit_curvature(ellipse_main):
 def test_area_cross_check_runs_tight(ellipse_main):
     # symmetric_profile raises if Green vs dA=(1/k)dL disagree beyond 1e-7;
     # the two routes actually agree an order of magnitude better
-    prof.symmetric_profile(ellipse_main, 64, cross_check_tol=1e-8)
+    theta = prof.profile_grid(64)
+    green = arcs.arc_batch(ellipse_main, -theta, theta)
+    green.raise_first()
+    quadrature = prof._family_area_quadrature(ellipse_main, theta)
+    assert np.max(np.abs(quadrature - green.area)) <= 1e-8
 
 
 def test_profile_preconditions(unit_disk, ellipse_main):
@@ -137,6 +141,27 @@ def test_conjecture_margin_shrinks_toward_disk(ellipse_family):
 def test_conjecture_rejects_disk(unit_disk):
     with pytest.raises(IsDisk):
         prof.conjecture_check(unit_disk, 64)
+
+
+def test_conjecture_preconditions_in_order():
+    # not class A and not of area pi: the class is checked first
+    with pytest.raises(NotClassA):
+        prof.conjecture_check(SupportCurve((2.0, 0.0, 0.05), (0.0, 0.02)), 32)
+    with pytest.raises(NotNormalized):
+        prof.conjecture_check(SupportCurve.ellipse(2.0, 1.0), 32)
+
+
+def test_conjecture_classifies_once(monkeypatch, ellipse_main):
+    calls = []
+
+    def spy(curve):
+        calls.append(curve)
+        return classify(curve)
+
+    classify = prof.classify
+    monkeypatch.setattr(prof, "classify", spy)
+    prof.conjecture_check(ellipse_main, 64)
+    assert calls == [ellipse_main]
 
 
 def test_family_stationarity_identity(ellipse_main):
@@ -194,11 +219,13 @@ def refine_one(curve, s1_a, s2_a, s1_b, s2_b, target):
         lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
         if not 0.0 < hi - lo < 2.0 * np.pi:
             raise NoArcAtArea("branch left the parameter window")
-        return arcs.build_arc(curve, lo, hi, check_containment=False)
+        arc = arcs.arc_batch(curve, lo, hi)
+        arc.raise_first()
+        return arc
 
-    s1 = invert_monotone(lambda s: arc_at(s).enclosed_area - target,
+    s1 = invert_monotone(lambda s: arc_at(s).area[0] - target,
                          s1_a, s1_b, 1e-14)
-    return arc_at(s1).length
+    return arc_at(s1).length[0]
 
 
 @pytest.mark.parametrize("name, areas", [
