@@ -7,7 +7,7 @@ that works for any convex boundary. A perturbation layer measures how the
 profile of the unit disk responds to area-preserving boundary fields.
 """
 
-from . import arcs, cli, disk, geometry, perturbation, profile
+from . import arcs, disk, geometry, perturbation, profile
 from .arcs import PerfectArc, TwoPointState, build_arc, continue_family, \
     two_point_f, two_point_grad, vertex_family
 from .geometry import (CurvePoint, DomainClassReport, RadialCurve,
@@ -33,5 +33,5 @@ __all__ = [
     "profile_decrease_experiment",
     "ConjectureReport", "ProfileTable", "conjecture_check",
     "general_profile_oracle", "symmetric_profile",
-    "arcs", "cli", "disk", "geometry", "perturbation", "profile",
+    "arcs", "disk", "geometry", "perturbation", "profile",
 ]

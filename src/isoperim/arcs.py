@@ -14,7 +14,7 @@ to t_hi (counterclockwise) and the arc closing the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -430,10 +430,10 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
                     ds: float) -> list:
     """Predictor-corrector continuation of the arc family through the seed.
 
-    Steps s1 by ds and corrects s2 along f = 0. On a centered disk every
-    pair satisfies f = 0 and the gradient vanishes identically, so the
-    family is generated by the closed-form arcs instead (fixed midpoint,
-    growing half-angle).
+    Steps s1 by ds and corrects s2 along f = 0. On a disk every pair
+    satisfies f = 0 and the gradient vanishes identically, so the family is
+    generated by the closed-form arcs instead (fixed midpoint, growing
+    half-angle).
     """
     if isinstance(curve, SupportCurve) and _is_disk_coeffs(curve):
         return _disk_route(curve, seed, steps, ds)
@@ -466,7 +466,9 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
 
 def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
                 ds: float) -> list:
-    radius = curve.cos_coeffs[0]
+    # h = r + a cos θ + b sin θ is the disk of radius r centered at (a, b)
+    radius, a = (curve.cos_coeffs + (0.0,))[:2]
+    center = np.array([a, (curve.sin_coeffs + (0.0,))[0]])
     u = 0.5 * (seed.s1 + seed.s2)
     half = 0.5 * abs(seed.s1 - seed.s2)
     arcs = []
@@ -475,20 +477,11 @@ def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
         if not 0.0 < theta < np.pi / 2.0:
             break
         base = diskmod.arc(u, theta)
-        if radius == 1.0:
-            arcs.append(base)
-        else:
-            arcs.append(PerfectArc(
-                kind=base.kind,
-                center=base.center * radius,
-                radius=base.radius * radius,
-                curvature=base.curvature / radius,
-                endpoint_thetas=base.endpoint_thetas,
-                length=base.length * radius,
-                enclosed_area=base.enclosed_area * radius ** 2,
-                contained=True,
-                ortho_residual=0.0,
-            ))
+        arcs.append(replace(
+            base, center=center + base.center * radius,
+            radius=base.radius * radius, curvature=base.curvature / radius,
+            length=base.length * radius,
+            enclosed_area=base.enclosed_area * radius ** 2))
     return arcs
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import arcs as arcsmod
-
 from . import perturbation as pertmod
 from . import profile as profilemod
 from .errors import IsDisk, IsoperimError, NumericalError
@@ -91,6 +91,13 @@ def _finite(text: str) -> float:
     return x
 
 
+def _positive(text: str) -> float:
+    x = _finite(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return x
+
+
 def _add_domain_args(p):
     p.add_argument("--preset", choices=["disk", "ellipse"])
     p.add_argument("--a", type=_finite, help="ellipse semi-axis on x")
@@ -104,21 +111,11 @@ def cmd_domain_info(args) -> int:
     curve = _load_domain(args)
     report = classify(curve)
     bound = float(np.sqrt(np.pi / report.area))
-    payload = {
-        "area": report.area,
-        "perimeter": report.perimeter,
-        "kappa_max": report.kappa_max,
-        "kappa_min": report.kappa_min,
-        "is_class_A": report.is_class_A,
-        "is_disk": report.is_disk,
-        "degenerate": report.degenerate,
-        "vertex_thetas": list(report.vertex_thetas),
-        "pestov_ionin": {
-            "bound": bound,
-            "satisfied": report.kappa_max >= bound - 1e-12,
-            "strict": report.kappa_max > bound + 1e-12,
-        },
-    }
+    payload = {**asdict(report), "pestov_ionin": {
+        "bound": bound,
+        "satisfied": report.kappa_max >= bound - 1e-12,
+        "strict": report.kappa_max > bound + 1e-12,
+    }}
     _emit(_json_dump(payload), args.output)
     return EXIT_OK
 
@@ -164,9 +161,7 @@ def cmd_arcs_find(args) -> int:
 
 def cmd_perturb_roots(args) -> int:
     roots = pertmod.find_mode_roots(args.n)
-    payload = [{"n": r.n, "b": r.b, "theta": r.theta, "area": r.area}
-               for r in roots]
-    _emit(_json_dump(payload), args.output)
+    _emit(_json_dump([asdict(r) for r in roots]), args.output)
     return EXIT_OK
 
 
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_args(p)
     p.add_argument("--s1", type=_finite, required=True,
                    help="first endpoint (normal angle, radians)")
-    p.add_argument("--grid", type=int, default=arcsmod.SCAN_POINTS)
+    p.add_argument("--grid", type=_samples, default=arcsmod.SCAN_POINTS)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_arcs_find)
 
@@ -238,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--mode", type=int, required=True)
     pe.add_argument("--area", type=_finite,
                     help="target area (default: the mode's critical area)")
-    pe.add_argument("--s-max", type=_finite, default=5e-3)
+    pe.add_argument("--s-max", type=_positive, default=5e-3)
     pe.add_argument("--s-steps", type=int, default=5)
-    pe.add_argument("--grid", type=int, default=profilemod.N_S1)
+    pe.add_argument("--grid", type=_samples, default=profilemod.N_S1)
     pe.add_argument("--output", "-o")
     pe.set_defaults(fn=cmd_perturb_experiment)
 
@@ -250,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=_finite, default=8.0)
     p.add_argument("--ymin", type=_finite, default=0.01)
     p.add_argument("--ymax", type=_finite, default=1.56)
-    p.add_argument("--resolution", type=int, default=400)
+    p.add_argument("--resolution", type=_samples, default=400)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_implicit_curve)
 

@@ -9,8 +9,6 @@ but is strictly monotone, so a bracketed Brent solve is exact to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._roots import invert_monotone
@@ -29,51 +27,35 @@ def _t_cos_t_minus_sin_t(t: float) -> float:
     return t * np.cos(t) - np.sin(t)
 
 
+def _half_angle(theta) -> float:
+    """theta as a float, refused unless it lies in (0, π/2)."""
+    theta = float(theta)
+    if not 0.0 < theta < HALF_PI:
+        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta}")
+    return theta
+
+
 def theta_to_area(theta: float) -> float:
     """Enclosed area of the arc at contact half-angle theta.
 
     Evaluated as θ + cos t·(t cos t − sin t)/sin²t with t = π/2 − θ, which is
     stable where the textbook form θ − tanθ + (π/2−θ)tan²θ loses digits.
     """
-    theta = float(theta)
-    if not 0.0 < theta < HALF_PI:
-        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta}")
+    theta = _half_angle(theta)
     t = HALF_PI - theta
     return theta + np.cos(t) * _t_cos_t_minus_sin_t(t) / np.sin(t) ** 2
 
 
 def theta_to_length(theta: float) -> float:
     """Arc length (π − 2θ)tanθ, evaluated as 2t·cos t/sin t with t = π/2 − θ."""
-    theta = float(theta)
-    if not 0.0 < theta < HALF_PI:
-        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta}")
+    theta = _half_angle(theta)
     t = HALF_PI - theta
     return 2.0 * t * np.cos(t) / np.sin(t)
 
 
 def theta_to_curvature(theta: float) -> float:
     """Arc curvature cot θ."""
-    theta = float(theta)
-    if not 0.0 < theta < HALF_PI:
-        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta}")
-    return 1.0 / np.tan(theta)
-
-
-@dataclass(frozen=True)
-class DiskArcParam:
-    """Disk arc at contact half-angle theta with its derived quantities."""
-
-    theta: float
-    area: float
-    length: float
-    curvature: float
-
-    @staticmethod
-    def at(theta: float) -> "DiskArcParam":
-        return DiskArcParam(theta=float(theta),
-                            area=theta_to_area(theta),
-                            length=theta_to_length(theta),
-                            curvature=theta_to_curvature(theta))
+    return 1.0 / np.tan(_half_angle(theta))
 
 
 def area_to_theta(a: float) -> float:
@@ -107,9 +89,7 @@ def arc(u: float, theta: float):
     """
     from .arcs import PerfectArc  # local import to avoid a cycle
 
-    theta = float(theta)
-    if not 0.0 < theta < HALF_PI:
-        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta}")
+    theta = _half_angle(theta)
     u = float(u)
     center = np.array([np.cos(u), np.sin(u)]) / np.cos(theta)
     return PerfectArc(

@@ -62,8 +62,8 @@ class PlaneBoundary:
     def area(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def contains(self, point) -> bool:  # pragma: no cover
-        raise NotImplementedError
+    def contains(self, point) -> bool:
+        return self.contains_many(np.asarray(point, float)[None, :])
 
     def moment_between(self, t0, t1):
         """∫ (x y' − y x') dt over [t0, t1]; twice the swept Green area."""
@@ -148,15 +148,8 @@ class SupportCurve(PlaneBoundary):
 
     # --- geometry ------------------------------------------------------------
 
-    def h(self, theta):
-        return self.h_series(theta)
-
     def rho(self, theta):
         return self.rho_series(theta)
-
-    def kappa(self, theta):
-        rho = self.rho_series(theta)
-        return 1.0 / rho
 
     def require_convex(self):
         if self._min_rho <= 0.0:
@@ -201,11 +194,8 @@ class SupportCurve(PlaneBoundary):
         normals = np.stack([np.cos(t), np.sin(t)], axis=-1)
         return normals, self.h_series(t)
 
-    def contains(self, point) -> bool:
-        """Support test P·N(φ) ≤ h(φ) on a dense grid of directions."""
-        return self.contains_many(np.asarray(point, float)[None, :])
-
     def contains_many(self, points) -> bool:
+        """Support test P·N(φ) ≤ h(φ) on a dense grid of directions."""
         normals, h = self._support_table
         margins = h[None, :] - np.asarray(points, float) @ normals.T
         return bool(np.min(margins) >= -CONTAIN_TOL)
@@ -294,9 +284,6 @@ class RadialCurve(PlaneBoundary):
         u = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
         return float(np.min(self.sample(u).curvature))
 
-    def contains(self, point) -> bool:
-        return self.contains_many(np.asarray(point, float)[None, :])
-
     def contains_many(self, points) -> bool:
         p = np.asarray(points, dtype=float)
         rad = np.hypot(p[:, 0], p[:, 1])
@@ -333,10 +320,19 @@ SYMMETRY_TOL = 1e-12
 DEGENERATE_KPP_TOL = 1e-8
 
 
-def _is_disk_coeffs(curve: SupportCurve) -> bool:
+def _negligible(curve: SupportCurve, coeffs) -> bool:
     scale = max(abs(curve.cos_coeffs[0]), 1.0)
-    rest = list(curve.cos_coeffs[1:]) + list(curve.sin_coeffs)
-    return all(abs(c) <= SYMMETRY_TOL * scale for c in rest)
+    return all(abs(c) <= SYMMETRY_TOL * scale for c in coeffs)
+
+
+def _is_disk_coeffs(curve: SupportCurve) -> bool:
+    """ρ = h + h'' is constant: only modes 0 and 1 (a translation) remain."""
+    return _negligible(curve, curve.cos_coeffs[2:] + curve.sin_coeffs[1:])
+
+
+def is_symmetric(curve: SupportCurve) -> bool:
+    """Symmetric about both axes: no sine and no odd cosine modes."""
+    return _negligible(curve, curve.cos_coeffs[1::2] + curve.sin_coeffs)
 
 
 def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
@@ -379,12 +375,12 @@ def find_vertices(curve: SupportCurve):
 def classify(curve: SupportCurve) -> DomainClassReport:
     """Locate vertices, report curvature extremes and the symmetry class.
 
-    The disk is reported as a distinguished degenerate case (κ' ≡ 0): it gets
-    is_disk=True, no vertex list, and is_class_A=False.
+    A disk, centered anywhere, is reported as a distinguished degenerate case
+    (κ' ≡ 0): it gets is_disk=True, no vertex list, and is_class_A=False.
     """
     curve.require_convex()
     area = curve.area()
-    perimeter = TWO_PI * curve.cos_coeffs[0]
+    perimeter = curve.perimeter()
 
     t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
     kap = 1.0 / curve.rho_series(t)
@@ -405,17 +401,12 @@ def classify(curve: SupportCurve) -> DomainClassReport:
         if abs(k_ss) < DEGENERATE_KPP_TOL:
             degenerate = True
 
-    scale = max(abs(curve.cos_coeffs[0]), 1.0)
-    sym = all(abs(b) <= SYMMETRY_TOL * scale for b in curve.sin_coeffs) and all(
-        abs(a) <= SYMMETRY_TOL * scale
-        for m, a in enumerate(curve.cos_coeffs) if m % 2 == 1)
-
     expected = {0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0}
     at_axes = len(vertices) == 4 and all(
         any(min(abs(v - e), TWO_PI - abs(v - e)) < 1e-6 for e in expected)
         for v in vertices)
 
-    is_class_a = sym and at_axes and not degenerate
+    is_class_a = is_symmetric(curve) and at_axes and not degenerate
     return DomainClassReport(is_class_a, tuple(vertices), kappa_max, kappa_min,
                              area, perimeter, is_disk=False, degenerate=degenerate)
 

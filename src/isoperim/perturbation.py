@@ -17,7 +17,7 @@ fits its first and second order in the perturbation size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class PerturbationField:
         a = np.asarray(self.fourier_cos, float)
         b = np.asarray(self.fourier_sin, float)
         return float(np.pi * (np.sum(a * a) + np.sum(b * b)))
-
-    def is_zero(self) -> bool:
-        return self.power() == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -230,16 +227,7 @@ class ExperimentReport:
     intercept: float
 
     def to_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "s_values": list(self.s_values),
-            "profile_values": list(self.profile_values),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "verdict": self.verdict,
-            "noise_floor": self.noise_floor,
-            "intercept": self.intercept,
-        }
+        return asdict(self)
 
 
 def profile_decrease_experiment(f: PerturbationField, area: float,
@@ -259,6 +247,8 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     s_values = (0.0,) + tuple(float(s) for s in config.s_grid)
     if len(s_values) < 4:
         raise FitIllConditioned("need at least three nonzero s values")
+    if not all(s > 0.0 for s in s_values[1:]):
+        raise FitIllConditioned(f"s values must be positive, got {s_values[1:]}")
     builder = domain_builder or (lambda s: build_perturbed_domain(f, s))
 
     def profile_at(s):

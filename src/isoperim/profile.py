@@ -19,7 +19,7 @@ import csv
 import io
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -31,7 +31,7 @@ from . import disk as diskmod
 from ._roots import invert_monotone, invert_monotone_many
 from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
                      NumericalError)
-from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify
+from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
 
 HALF_PI = np.pi / 2.0
 # the refinement's corrector bracket: the partner s2 stays this close to the
@@ -100,12 +100,14 @@ def _family_curvature(curve: SupportCurve, theta):
 
 def require_class_a(curve: SupportCurve, allow_disk: bool):
     """Classify the domain and refuse what the symmetric family cannot
-    handle: a disk (unless allowed), a domain outside class A or with its
-    major axis on y, then an area other than π."""
+    handle: a disk (unless allowed) or one off the origin, a domain outside
+    class A or with its major axis on y, then an area other than π."""
     report = classify(curve)
     if report.is_disk:
         if not allow_disk:
             raise IsDisk("domain is a disk")
+        if not is_symmetric(curve):
+            raise NotClassA("disk must be centered at the origin")
     elif not report.is_class_A:
         raise NotClassA("domain is not bi-axially symmetric with four vertices")
     elif 1.0 / curve.rho(0.0) < 1.0 / curve.rho(HALF_PI):
@@ -209,14 +211,7 @@ class ConjectureReport:
     stationarity_residual: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "sup_ratio": self.sup_ratio,
-            "argmax_area": self.argmax_area,
-            "passed": self.passed,
-            "margin": self.margin,
-            "area_floor": self.area_floor,
-            "stationarity_residual": self.stationarity_residual,
-        }
+        return asdict(self)
 
 
 def conjecture_check(curve: SupportCurve, n_samples: int = 256) -> ConjectureReport:

@@ -497,6 +497,35 @@ def test_continuation_on_disk_routes_to_closed_form(unit_disk):
         assert abs(arc.enclosed_area - ref.enclosed_area) < 1e-10
 
 
+def test_continuation_on_scaled_disk_scales_unit_arcs(unit_disk):
+    seed = arcs.two_point_state(unit_disk, 0.3, -0.3)
+    unit = arcs.continue_family(unit_disk, seed, steps=6, ds=0.1)
+    fam = arcs.continue_family(SupportCurve.disk(1.7), seed, steps=6, ds=0.1)
+    assert len(fam) == len(unit) == 6
+    for arc, ref in zip(fam, unit):
+        assert arc.endpoint_thetas == ref.endpoint_thetas
+        assert np.allclose(arc.center, 1.7 * ref.center, rtol=1e-15, atol=0.0)
+        assert arc.radius == pytest.approx(1.7 * ref.radius, rel=1e-15)
+        assert arc.curvature == pytest.approx(ref.curvature / 1.7, rel=1e-15)
+        assert arc.length == pytest.approx(1.7 * ref.length, rel=1e-15)
+        assert arc.enclosed_area == pytest.approx(1.7 ** 2 * ref.enclosed_area,
+                                                  rel=1e-15)
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.0), (0.0, 0.3), (0.2, -0.25)])
+def test_continuation_on_translated_disk_matches_build_arc(a, b):
+    curve = SupportCurve((1.0, a), (b,))
+    seed = arcs.two_point_state(curve, 0.3, -0.3)
+    fam = arcs.continue_family(curve, seed, steps=6, ds=0.1)
+    assert len(fam) == 6
+    for arc in fam:
+        ref = arcs.build_arc(curve, *arc.endpoint_thetas)
+        assert arc.kind == ref.kind == "circular" and ref.contained
+        assert np.max(np.abs(arc.center - ref.center)) < 1e-12
+        for key in ("radius", "curvature", "length", "enclosed_area"):
+            assert abs(getattr(arc, key) - getattr(ref, key)) < 1e-12, key
+
+
 def test_continuation_preserves_symmetry(ellipse_main):
     seed = arcs.two_point_state(ellipse_main, 0.2, -0.2)
     fam = arcs.continue_family(ellipse_main, seed, steps=12, ds=0.05)

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,30 @@ def test_experiment_cli_smoke(tmp_path, capsys):
     assert payload["alpha"] == pytest.approx(-1.0, rel=0.05)
     assert payload["profile_values"][0] == pytest.approx(
         disk.profile(np.pi / 2.0 - 1.0), abs=1e-6)
+
+
+EXPERIMENT = ["perturb", "experiment", "--mode", "2"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--s-max", EXPERIMENT + ["--s-max", "0"]),
+    ("--s-max", EXPERIMENT + ["--s-max=-1e-3"]),
+    ("--s-max", EXPERIMENT + ["--s-max", "inf"]),
+    ("--grid", EXPERIMENT + ["--grid", "0"]),
+    ("--grid", ["arcs-find", "--preset", "disk", "--s1", "0.3", "--grid", "1"]),
+    ("--resolution", ["implicit-curve", "--resolution", "1"]),
+])
+def test_bad_flags_refused_at_parse_time(flag, argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"error: argument {flag}: must be" in err
+
+
+def test_module_entry_point_is_silent():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "isoperim.cli", "domain-info", "--preset", "disk"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["is_disk"] is True

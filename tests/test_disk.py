@@ -92,10 +92,3 @@ def test_disk_arc_geometry():
 def test_disk_arc_curvature_is_cot(u, theta):
     arc = disk.arc(u, theta)
     assert arc.curvature == pytest.approx(1.0 / np.tan(theta), rel=1e-14)
-
-
-def test_param_record():
-    p = disk.DiskArcParam.at(0.8)
-    assert p.area == disk.theta_to_area(0.8)
-    assert p.length == disk.theta_to_length(0.8)
-    assert p.curvature == pytest.approx(1.0 / np.tan(0.8))

@@ -162,6 +162,17 @@ def test_classify_disk(unit_disk):
     assert rep.kappa_max == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.3, 0.0), (0.0, 0.3), (0.2, -0.25)])
+def test_classify_translated_disk(a, b):
+    # a translation adds a cos θ + b sin θ to h and leaves ρ = h + h'' alone
+    rep = classify(SupportCurve((1.0, a), (b,)))
+    assert rep.is_disk and rep.degenerate and not rep.is_class_A
+    assert rep.vertex_thetas == ()
+    assert rep.kappa_max == rep.kappa_min == 1.0
+    assert rep.area == pytest.approx(np.pi, abs=1e-14)
+    assert rep.perimeter == pytest.approx(TWO_PI, abs=1e-14)
+
+
 def test_classify_ellipse(ellipse_main):
     rep = classify(ellipse_main)
     assert rep.is_class_A and not rep.is_disk
@@ -236,6 +247,17 @@ def test_contains(ellipse_main):
     assert ellipse_main.contains([1.2, 0.0])
     assert not ellipse_main.contains([1.5, 0.0])
     assert not ellipse_main.contains([0.0, 0.9])
+
+
+def test_radial_contains():
+    curve = RadialCurve(TrigSeries(np.array([1.0, 0.0, 0.0, 0.05]),
+                                   np.array([0.0, 0.0, 0.03, 0.0])))
+    u = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    ring = np.column_stack([np.cos(u), np.sin(u)]) * curve.r(u)[:, None]
+    assert curve.contains_many(0.99 * ring)
+    assert all(curve.contains(p) for p in 0.99 * ring)
+    assert not curve.contains_many(1.01 * ring)
+    assert not any(curve.contains(p) for p in 1.01 * ring)
 
 
 # --- domain specs ------------------------------------------------------------

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from isoperim import disk
 from isoperim import perturbation as pert
 
-from isoperim.errors import NonConvexPerturbation, OutOfRange
+from isoperim.errors import (FitIllConditioned, NonConvexPerturbation,
+                             OutOfRange)
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,7 +240,7 @@ def test_aggregate_second_variation_values():
 @given(small_fields)
 def test_aggregate_negative_for_nonzero(field):
     agg = pert.aggregate_second_variation(field)
-    if field.is_zero():
+    if field.power() == 0.0:
         assert agg == 0.0
     else:
         assert agg < 0.0
@@ -260,3 +261,10 @@ def test_translation_control_profile_flat():
     assert spread < 5.0 * pert.ORACLE_TOL
     assert report.profile_values[0] == pytest.approx(
         disk.profile(np.pi / 2.0 - 1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("s_grid", [(0.0, 1e-3, 2e-3), (1e-3, -2e-3, 3e-3)])
+def test_experiment_refuses_nonpositive_s(s_grid):
+    with pytest.raises(FitIllConditioned, match="positive"):
+        pert.profile_decrease_experiment(pert.PerturbationField.mode(2), 1.0,
+                                         pert.ExperimentConfig(s_grid=s_grid))

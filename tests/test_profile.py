@@ -7,7 +7,7 @@ from isoperim import arcs, disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
 from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
-                             NotNormalized)
+                             NotNormalized, NotPerfect)
 from isoperim._roots import invert_monotone
 from isoperim.geometry import SupportCurve
 
@@ -104,6 +104,16 @@ def test_profile_preconditions(unit_disk, ellipse_main):
     rotated = SupportCurve.ellipse(1.0 / SQRT2, SQRT2)
     with pytest.raises(NotClassA):
         prof.symmetric_profile(rotated, 32)
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.0), (0.0, 0.3), (0.2, -0.25)])
+def test_translated_disk_refusals(a, b):
+    curve = SupportCurve((1.0, a), (b,))
+    with pytest.raises(IsDisk):
+        prof.conjecture_check(curve, 32)
+    # the family's closed forms put the disk's center on the axis
+    with pytest.raises(NotClassA, match="centered at the origin"):
+        prof.symmetric_profile(curve, 32)
 
 
 def test_csv_round_trip(ellipse_table, tmp_path):
@@ -256,6 +266,55 @@ def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
             # the corrector leaves s2 ill-conditioned near vertices
             assert failures[i] is None
             assert length[i] == pytest.approx(refine_one(curve, *seg), abs=1e-11)
+
+
+def _forced_lane_failure(monkeypatch, ellipse_main, patch):
+    """Refine the oracle's segments at area 1 once as they are and once with
+    `patch(monkeypatch, s1_lo, s1_hi)` failing the s1 range of lane 2."""
+    calls = []
+    refine = prof._refine_on_branch
+    monkeypatch.setattr(prof, "_refine_on_branch",
+                        lambda *args: calls.append(args) or refine(*args))
+    prof.general_profile_oracle(ellipse_main, 1.0)
+    monkeypatch.setattr(prof, "_refine_on_branch", refine)
+    curve, s1_a, s2_a, s1_b, s2_b, target = calls[0]
+    clean, clean_failures = refine(*calls[0])
+    assert all(exc is None for exc in clean_failures) and len(s1_a) > 3
+    patch(monkeypatch, s1_a[2], s1_b[2])
+    length, failures = refine(*calls[0])
+    assert np.isnan(length[2])
+    # the other lanes only see a smaller batch, which moves them by rounding
+    assert np.max(np.abs(np.delete(length, 2) - np.delete(clean, 2))) < 1e-12
+    assert [exc is None for exc in failures] == [i != 2 for i in range(len(s1_a))]
+    return failures[2]
+
+
+def test_refinement_records_corrector_failure_lane(monkeypatch, ellipse_main):
+    def patch(monkeypatch, lo, hi):
+        correct = arcs._correct_s2
+
+        def failing(curve, s1, seed, half):
+            s2 = correct(curve, s1, seed, half)
+            return np.where((s1 >= lo) & (s1 <= hi), np.nan, s2)
+        monkeypatch.setattr(arcs, "_correct_s2", failing)
+
+    exc = _forced_lane_failure(monkeypatch, ellipse_main, patch)
+    assert type(exc) is NoConvergence and "corrector failed" in str(exc)
+
+
+def test_refinement_records_arc_kernel_failure_lane(monkeypatch, ellipse_main):
+    def patch(monkeypatch, lo, hi):
+        kernel = arcs.arc_batch
+
+        def failing(curve, t_lo, t_hi):
+            batch = kernel(curve, t_lo, t_hi)
+            # lane 2's s1 is the lower end of its pair
+            hit = (np.asarray(t_lo) >= lo) & (np.asarray(t_lo) <= hi)
+            return batch._replace(failure=np.where(hit, 1, batch.failure))
+        monkeypatch.setattr(arcs, "arc_batch", failing)
+
+    exc = _forced_lane_failure(monkeypatch, ellipse_main, patch)
+    assert type(exc) is NotPerfect and "two-point residual" in str(exc)
 
 
 def test_oracle_rejects_bad_area(unit_disk):
