@@ -84,6 +84,13 @@ def _samples(text: str) -> int:
     return n
 
 
+def _steps(text: str) -> int:
+    n = int(text)
+    if n < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {n}")
+    return n
+
+
 def _finite(text: str) -> float:
     x = float(text)
     if not np.isfinite(x):
@@ -172,8 +179,8 @@ def cmd_perturb_experiment(args) -> int:
     else:
         roots = pertmod.find_mode_roots(args.mode) if args.mode >= 2 else []
         area = roots[0].area if roots else np.pi / 2.0 - 1.0
-    n_steps = max(3, args.s_steps)
-    s_grid = tuple(args.s_max * (k + 1) / n_steps for k in range(n_steps))
+    s_grid = tuple(args.s_max * (k + 1) / args.s_steps
+                   for k in range(args.s_steps))
     config = pertmod.ExperimentConfig(s_grid=s_grid, n_s1=args.grid)
     report = pertmod.profile_decrease_experiment(f, area, config)
     _emit(_json_dump(report.to_dict()), args.output)
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--area", type=_finite,
                     help="target area (default: the mode's critical area)")
     pe.add_argument("--s-max", type=_positive, default=5e-3)
-    pe.add_argument("--s-steps", type=int, default=5)
+    pe.add_argument("--s-steps", type=_steps, default=5)
     pe.add_argument("--grid", type=_samples, default=profilemod.N_S1)
     pe.add_argument("--output", "-o")
     pe.set_defaults(fn=cmd_perturb_experiment)

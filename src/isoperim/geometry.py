@@ -128,8 +128,7 @@ class SupportCurve(PlaneBoundary):
 
     @cached_property
     def _min_rho(self) -> float:
-        t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
-        return float(np.min(self.rho_series(t)))
+        return float(np.min(TrigSeries.on_grid(SCAN_NODES, self.rho_series)[0]))
 
     # --- constructors --------------------------------------------------------
 
@@ -358,7 +357,7 @@ def find_vertices(curve: SupportCurve):
     """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan + Brent."""
     rho1 = curve.rho_series.derivative()
     t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
-    vals = rho1(t)
+    vals = TrigSeries.on_grid(SCAN_NODES, rho1)[0]
     # close the periodic scan so the cell that wraps past 2π is searched too
     roots = sign_change_roots(rho1, np.append(t, TWO_PI),
                               np.append(vals, vals[0]), 1e-12)
@@ -382,8 +381,7 @@ def classify(curve: SupportCurve) -> DomainClassReport:
     area = curve.area()
     perimeter = curve.perimeter()
 
-    t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
-    kap = 1.0 / curve.rho_series(t)
+    kap = 1.0 / TrigSeries.on_grid(SCAN_NODES, curve.rho_series)[0]
 
     if _is_disk_coeffs(curve):
         k = 1.0 / curve.cos_coeffs[0]

@@ -32,6 +32,7 @@ from ._roots import invert_monotone, invert_monotone_many
 from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
                      NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
+from .trig import TrigSeries
 
 HALF_PI = np.pi / 2.0
 # the refinement's corrector bracket: the partner s2 stays this close to the
@@ -129,11 +130,12 @@ def _family_area_quadrature(curve: SupportCurve, theta_grid):
     """
     n_fine = 16384
     t = np.linspace(0.0, HALF_PI, n_fine + 1)  # offset from pi/2
-    theta_f = HALF_PI - t
-    y = _upper_endpoint_height(curve, theta_f)
-    rho = curve.rho_series(theta_f)
+    # θ = π/2 − t_i is node n_fine − i of the circle grid of 4·n_fine nodes
+    h, hp, rho = (v[n_fine::-1] for v in TrigSeries.on_grid(
+        4 * n_fine, curve.h_series, curve._h_prime, curve.rho_series))
     c = np.sin(t)   # cos(theta)
     s = np.cos(t)   # sin(theta)
+    y = h * s + hp * c
     p = 2.0 * t     # pi - 2 theta
     num = p * rho * c * c + p * s * y - 2.0 * y * c
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -61,6 +61,20 @@ class TrigSeries:
         return tuple(o.reshape(t_arr.shape) if t_arr.ndim else float(o[0])
                      for o in out)
 
+    @staticmethod
+    def on_grid(n: int, *series) -> tuple:
+        """Each series at t_j = 2πj/n, j = 0..n−1, by one inverse real FFT.
+
+        The transform length is the smallest multiple m·n above twice the
+        highest order, so no mode aliases; every m-th value is kept.
+        """
+        m = 2 * max(s.order for s in series) // n + 1
+        spec = np.zeros((len(series), m * n // 2 + 1), dtype=complex)
+        for row, s in zip(spec, series):
+            row[:s.order + 1] = 0.5 * (s.cos_c - 1j * s.sin_c)
+            row[0] = s.cos_c[0]
+        return tuple(np.fft.irfft(spec, m * n, norm="forward")[:, ::m])
+
     def derivative(self) -> "TrigSeries":
         k = np.arange(self.order + 1, dtype=float)
         return TrigSeries(k * self.sin_c, -k * self.cos_c)

@@ -243,6 +243,9 @@ EXPERIMENT = ["perturb", "experiment", "--mode", "2"]
     ("--grid", EXPERIMENT + ["--grid", "0"]),
     ("--grid", ["arcs-find", "--preset", "disk", "--s1", "0.3", "--grid", "1"]),
     ("--resolution", ["implicit-curve", "--resolution", "1"]),
+    ("--s-steps", EXPERIMENT + ["--s-steps", "-5"]),
+    ("--s-steps", EXPERIMENT + ["--s-steps", "0"]),
+    ("--s-steps", EXPERIMENT + ["--s-steps", "2"]),
 ])
 def test_bad_flags_refused_at_parse_time(flag, argv, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -207,6 +207,24 @@ def test_classify_flags_near_degenerate_vertices():
     assert not rep.is_class_A and not rep.is_disk
 
 
+def _on_grid_by_evaluate(n, *series):
+    """The route `TrigSeries.on_grid` replaced: the cos/sin basis on the grid."""
+    return TrigSeries.evaluate(np.linspace(0.0, TWO_PI, n, endpoint=False), *series)
+
+
+def test_classify_matches_direct_scan(monkeypatch, class_a_suite):
+    curves = [*class_a_suite.values(),
+              SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0)),
+              SupportCurve.ellipse(10.0, 0.1)]
+    fft = [classify(c) for c in curves]
+    monkeypatch.setattr(TrigSeries, "on_grid", staticmethod(_on_grid_by_evaluate))
+    # fresh curves: the direct route must not reuse cached scans
+    direct = [classify(SupportCurve(c.cos_coeffs, c.sin_coeffs)) for c in curves]
+    for got, want in zip(fft, direct):
+        assert got.vertex_thetas == want.vertex_thetas
+        assert (got.is_class_A, got.degenerate) == (want.is_class_A, want.degenerate)
+
+
 def test_arclength_derivatives_at_vertex(ellipse_main):
     k_s, k_ss, k_sss = curvature_arclength_derivatives(ellipse_main, 0.0)
     assert abs(k_s) < 1e-9

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import PchipInterpolator
 
 from isoperim import arcs, disk
 from isoperim import perturbation as pert
@@ -93,6 +95,45 @@ def test_area_cross_check_runs_tight(ellipse_main):
     green.raise_first()
     quadrature = prof._family_area_quadrature(ellipse_main, theta)
     assert np.max(np.abs(quadrature - green.area)) <= 1e-8
+
+
+def _family_area_quadrature_by_evaluate(curve, theta_grid):
+    """`_family_area_quadrature` as it was before `TrigSeries.on_grid`: the
+    series evaluated at θ = π/2 − t on their cos/sin basis."""
+    n_fine = 16384
+    t = np.linspace(0.0, HALF_PI, n_fine + 1)
+    theta_f = HALF_PI - t
+    y = prof._upper_endpoint_height(curve, theta_f)
+    rho = curve.rho_series(theta_f)
+    c, s, p = np.sin(t), np.cos(t), 2.0 * t
+    num = p * rho * c * c + p * s * y - 2.0 * y * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = y * num / c ** 3
+    y_end = float(prof._upper_endpoint_height(curve, HALF_PI))
+    rho_end = float(curve.rho_series(HALF_PI))
+    integrand[t < 0.5 * (HALF_PI / n_fine)] = \
+        y_end * (2.0 * rho_end - 2.0 * y_end / 3.0)
+    cum = cumulative_simpson(integrand, x=t, initial=0.0)
+    offsets = HALF_PI - np.asarray(theta_grid, dtype=float)
+    return float(cum[-1]) - PchipInterpolator(t, cum)(offsets)
+
+
+def test_family_area_quadrature_matches_direct_evaluation(class_a_suite):
+    theta = prof.profile_grid(256)
+    step = HALF_PI / 16384
+    # within two nodes of θ = π/2 the area is the first Simpson cell, whose
+    # node t = step divides a triple cancellation by c³: rounding of about
+    # 4·eps·y²/t² in the integrand, so each route resolves that cell only to
+    # about 6·eps·y²/step
+    end_cell = HALF_PI - theta < 2.0 * step
+    curves = [*class_a_suite.values(),
+              SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0))]
+    for curve in curves:
+        gap = np.abs(prof._family_area_quadrature(curve, theta)
+                     - _family_area_quadrature_by_evaluate(curve, theta))
+        assert np.max(gap[~end_cell]) <= 1e-12
+        y_end = prof._upper_endpoint_height(curve, HALF_PI)
+        assert np.max(gap[end_cell]) <= 12.0 * np.finfo(float).eps * y_end ** 2 / step
 
 
 def test_profile_preconditions(unit_disk, ellipse_main):

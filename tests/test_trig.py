@@ -111,3 +111,51 @@ def test_complex_coefficients_match_per_mode_loops(ellipse_main):
     product = h.product(rho)
     assert np.array_equal(product.cos_c, want.cos_c)
     assert np.array_equal(product.sin_c, want.sin_c)
+
+
+def _grid_sum_by_mode(n, nodes, *series):
+    """Each series at t_j = 2πj/n for j in nodes, one mode at a time and
+    Neumaier-compensated, each angle reduced exactly to 2π·((k·j) mod n)/n."""
+    j = np.arange(n)
+    cos_t, sin_t = np.cos(2.0 * np.pi * j / n), np.sin(2.0 * np.pi * j / n)
+    order = max(s.order for s in series)
+    a, b = np.zeros((len(series), order + 1)), np.zeros((len(series), order + 1))
+    for row, s in enumerate(series):
+        a[row, :s.order + 1], b[row, :s.order + 1] = s.cos_c, s.sin_c
+    total = np.zeros((len(series), nodes.size))
+    comp = np.zeros_like(total)
+    for k in range(order + 1):
+        idx = (k * nodes) % n
+        for term in (a[:, k:k + 1] * cos_t[idx], b[:, k:k + 1] * sin_t[idx]):
+            new = total + term
+            comp += np.where(np.abs(total) >= np.abs(term),
+                             (total - new) + term, (term - new) + total)
+            total = new
+    return total + comp
+
+
+def _grid_cases():
+    for a, b in ((np.sqrt(6.0), 1.0 / np.sqrt(6.0)), (10.0, 0.1)):
+        curve = SupportCurve.ellipse(a, b)
+        series = (curve.h_series, curve.rho_series, curve.rho_series.derivative())
+        for n in (720, 4096, 65536):
+            yield f"ellipse_{a:.3g}_{b:.3g}_n{n}", n, series
+    rng = np.random.default_rng(3)
+    # order above n/2: a transform of length n would alias
+    yield "order_3000_n4096", 4096, (TrigSeries(rng.standard_normal(3001),
+                                                rng.standard_normal(3001)),)
+    yield "disk_n720", 720, (SupportCurve.disk(1.3).h_series,)
+
+
+@pytest.mark.parametrize("n, series", [pytest.param(n, s, id=name)
+                                       for name, n, s in _grid_cases()])
+def test_on_grid_matches_compensated_mode_sum(n, series):
+    got = TrigSeries.on_grid(n, *series)
+    # above 4,096 nodes the slow reference sees every 17th node
+    nodes = np.arange(n) if n <= 4096 else np.arange(0, n, 17)
+    want = _grid_sum_by_mode(n, nodes, *series)
+    size = n * (2 * max(s.order for s in series) // n + 1)
+    for g, w, s in zip(got, want, series):
+        assert g.shape == (n,)
+        scale = np.sum(np.abs(s.cos_c)) + np.sum(np.abs(s.sin_c))
+        assert np.max(np.abs(g[nodes] - w)) <= np.finfo(float).eps * np.log2(size) * scale
