@@ -6,6 +6,10 @@ This module evaluates f and its arclength gradient, constructs the arc for
 a certified endpoint pair, continues one-parameter families of arcs, and
 builds the shrinking families that exist at non-degenerate vertices.
 
+f also vanishes at anti-parallel normals, so the root scan searches
+h = (C1 − C2)·(T1 − T2) = f·tan(Δ/2) (Δ the normal turning from s1 to s2),
+on one boundary sample of nodes that hold every s1; f stays the certificate.
+
 Endpoint parameters are boundary parameters (normal angle for support
 curves, polar angle for radial curves) given as real numbers with
 t_lo < t_hi; the enclosed region is bounded by the boundary sweep from t_lo
@@ -18,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # before disk, else a full gc lands inside scipy's import and set-up slows
 from ._roots import invert_monotone_many
@@ -31,12 +36,8 @@ from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
 SEGMENT_NORMAL_TOL = 1e-8
 NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# s2 points per s1 slice of the root scan
+# boundary nodes per turn of the root scan, at least
 SCAN_POINTS = 512
-# the scan skips s2 this close to s1, where f vanishes with the chord
-SCAN_EXCLUSION = 1e-2
-# grid points per block of the batched root scan; bounds its memory
-SCAN_BLOCK_POINTS = 4096
 # max |f| below which a boundary counts as a circle (f ≡ 0 there)
 CIRCLE_RESIDUAL_TOL = 1e-10
 
@@ -228,7 +229,8 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch
         alpha_a = _wrap_mod_pi(np.arctan2(na[:, 1], na[:, 0]) - chord_ang)
         alpha_b = _wrap_mod_pi(chord_ang - np.arctan2(nb[:, 1], nb[:, 0]))
         mismatch = _wrap_mod_pi(alpha_a - alpha_b)
-        alpha = np.where(segment, 0.0, _wrap_mod_pi(alpha_a - 0.5 * mismatch))
+        turning = _wrap_mod_pi(alpha_a - 0.5 * mismatch)
+        alpha = np.where(segment, 0.0, turning)
         turned = ~segment & (np.abs(mismatch) > 1e-5)
         flat = ~segment & (np.abs(alpha) < 1e-12)
         failure = np.where(not_perfect, 1, np.where(
@@ -237,8 +239,11 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch
         sin_a = np.sin(alpha)  # 0 on segments, so their curvature is 0
         curvature = 2.0 * sin_a / chord_len
         length = np.where(segment, chord_len, chord_len * np.abs(alpha / sin_a))
-        bulge = chord_len ** 2 * _two_alpha_minus_sin(2.0 * alpha) / (8.0 * sin_a ** 2)
-        area = np.where(segment, base_area, base_area + bulge)
+        # a segment keeps the sliver of its (tiny) turning, so the area is
+        # continuous where the branch enters |N1 + N2| < SEGMENT_NORMAL_TOL
+        bulge = (chord_len ** 2 * _two_alpha_minus_sin(2.0 * turning)
+                 / (8.0 * np.sin(turning) ** 2))
+        area = base_area + np.where(turning == 0.0, 0.0, bulge)
         # the arc leaves a at chord angle + α and meets b at chord angle − α
         ang_a, ang_b = chord_ang + alpha, chord_ang - alpha
         ortho = np.maximum(
@@ -304,9 +309,9 @@ def _sample_containment(curve, a_pt, b_pt, alpha):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
-def _cell_roots(curve: PlaneBoundary, s1, grid, vals, xatol: float) -> tuple:
+def _cell_roots(fn, s1, grid, vals, xatol: float) -> tuple:
     """(row, root) for every sign-changing cell of the rows of a scanned grid,
-    vals[i] = f(s1[i], grid[i]); roots ascend within a row.
+    vals[i] = fn(grid[i], s1[i]); roots ascend within a row.
 
     Every bracket is refined in one `invert_monotone_many` solve, the
     vectorized counterpart of `sign_change_roots`. An exact zero stays at
@@ -315,41 +320,59 @@ def _cell_roots(curve: PlaneBoundary, s1, grid, vals, xatol: float) -> tuple:
     neg = vals < 0.0
     row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
     lo, hi = grid[row, col], grid[row, col + 1]
-    x, status = invert_monotone_many(lambda x, s: two_point_f_many(curve, s, x),
-                                     lo, hi, xatol, args=(s1[row],))
+    x, status = invert_monotone_many(fn, lo, hi, xatol, args=(s1[row],))
     if np.any(status < -1):
         raise NoConvergence("vectorized root refinement did not converge")
     return row, np.where(vals[row, col] == 0.0, lo, x)
 
 
+def _two_point_h(curve: PlaneBoundary, s1, s2):
+    """h = (C1 − C2)·(T1 − T2) on 1-D arrays: f's genuine zeros, perfect
+    chords included, without its zero at anti-parallel normals."""
+    s = curve.sample(np.concatenate([s1, s2]))
+    d, t = (np.subtract(*np.split(x, 2)) for x in (s.position, s.tangent))
+    return d[:, 0] * t[:, 0] + d[:, 1] * t[:, 1]
+
+
 def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
-    s1 may be a 1-D array, giving one root list per slice; a scalar s1 gives
-    its list alone. The (s1, s2) grid is scanned for sign changes in blocks
-    of slices, and every bracket is refined in one `_cell_roots` solve.
-    Crossings where the normals are anti-parallel are kept only if the chord
-    is aligned with them (a perfect chord); otherwise f vanishes for the
-    wrong reason and the root is spurious.
+    s1 may be a 1-D array of n slices spaced 2π/n apart, giving one root
+    list per slice; a scalar s1 gives its list alone. The scan runs on h
+    (`_two_point_h`) over N uniform boundary nodes that hold every s1,
+    s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at or above
+    n_scan (576 for 96 slices). One `curve.sample` gives h on every node
+    pair; each slice scans the other N − 1 nodes in turn, and every sign
+    change is refined in one `_cell_roots` solve.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
-    grid = s1_arr[:, None] + np.linspace(SCAN_EXCLUSION, TWO_PI - SCAN_EXCLUSION,
-                                         n_scan)
-    step = max(1, SCAN_BLOCK_POINTS // max(n_scan, 1))
-    vals = np.concatenate([
-        two_point_f_many(curve, s1_arr[i:i + step, None], grid[i:i + step])
-        for i in range(0, len(s1_arr), step)])
-    row, roots = _cell_roots(curve, s1_arr, grid, vals, 1e-13)
-    s = curve.sample(np.concatenate([s1_arr[row], roots]))
-    n1, n2 = np.split(s.normal, 2)
-    chord = np.subtract(*np.split(s.position, 2))
-    spurious = ((np.hypot(*(n1 + n2).T) < SEGMENT_NORMAL_TOL)
-                & (np.abs(_cross(chord, n1))
-                   > SEGMENT_NORMAL_TOL * np.hypot(*chord.T)))
-    good = [[] for _ in s1_arr]
-    for i, r in zip(row[~spurious], roots[~spurious]):
-        if not good[i] or r - good[i][-1] > 1e-9:  # roots ascend per slice
-            good[i].append(float(r))
+    n = len(s1_arr)
+    if np.any(np.abs(np.diff(s1_arr) - TWO_PI / n) > 1e-9):
+        raise ValueError("s1 slices must be spaced 2pi/n apart")
+    per = max(1, -(-n_scan // n))  # nodes per slice
+    nodes = (s1_arr[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
+    s = curve.sample(nodes)
+    # centred: h is translation-invariant, and its expansion rounds at |P|
+    p, t = s.position - np.mean(s.position, axis=0), s.tangent
+    a, at = np.einsum("ij,ij->i", p, t), np.arange(n) * per
+
+    def turn(x, shift=0.0):
+        """Row k, column c: x at node k·per + 1 + c, counted around the turn."""
+        x = np.concatenate([x, x + shift])[1:]
+        return sliding_window_view(x, len(nodes) - 1, axis=0)[::per][:n]
+
+    # h_kj = a_k + a_j − P_k·T_j − T_k·P_j, with a = P·T
+    vals = np.einsum("kd,kdc->kc", p[at], turn(t))
+    vals += np.einsum("kd,kdc->kc", t[at], turn(p))
+    np.subtract(turn(a), vals, out=vals)
+    vals += a[at, None]
+    row, roots = _cell_roots(lambda x, s: _two_point_h(curve, s, x), s1_arr,
+                             turn(nodes, TWO_PI), vals, 1e-13)
+    # an exact zero at a node also ends the cell before it
+    keep = np.ones(len(row), dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
+    good = [r.tolist() for r in np.split(roots[keep], np.searchsorted(
+        row[keep], np.arange(1, n)))]
     return good if np.ndim(s1) else good[0]
 
 
@@ -414,7 +437,8 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess, bracket_halfwidth):
     if fb.size:
         grid = guess[fb, None] + np.linspace(-half[fb], half[fb], 41, axis=1)
         vals = two_point_f_many(curve, s1_v[fb, None], grid)
-        row, roots = _cell_roots(curve, s1_v[fb], grid, vals, 1e-14)
+        row, roots = _cell_roots(lambda x, s: two_point_f_many(curve, s, x),
+                                 s1_v[fb], grid, vals, 1e-14)
         first, at = np.unique(row, return_index=True)
         out[fb[first]] = roots[at]
     if s1_b.ndim:

@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_args(p)
     p.add_argument("--s1", type=_finite, required=True,
                    help="first endpoint (normal angle, radians)")
-    p.add_argument("--grid", type=_samples, default=arcsmod.SCAN_POINTS)
+    p.add_argument("--grid", type=_samples, default=arcsmod.SCAN_POINTS,
+                   help="scan nodes on the boundary: s1 + 2*pi*j/GRID")
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_arcs_find)
 

@@ -28,7 +28,7 @@ from scipy.optimize import minimize_scalar
 
 from . import arcs as arcsmod
 from . import disk as diskmod
-from ._roots import invert_monotone, invert_monotone_many
+from ._roots import XRTOL, invert_monotone, invert_monotone_many
 from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
                      NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
@@ -326,7 +326,9 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     the target keeps the end nearer to it. A segment fails at the
     first s1 where the corrector fails (NoConvergence), the pair leaves the
     window 0 < hi − lo < 2π or s2 moves more than BRANCH_HALFWIDTH from its
-    interpolated seed (NoArcAtArea), or `arc_batch` rejects the pair.
+    interpolated seed (NoArcAtArea), or `arc_batch` rejects the pair. It
+    also fails (NoArcAtArea) where the solved area misses the target by more
+    than the solve's accuracy: the bracket then closed on a jump in area.
     Returns (length, failures): NaN length and, in `failures`, the exception
     of each failed segment; None where it succeeded.
     """
@@ -359,7 +361,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
                 exc = arc.error(np.count_nonzero(inside[:i]))
             failures[lane[i]] = failures[lane[i]] or exc
         area[bad], length[bad] = target[lane[bad]], np.nan
-        return area, length
+        return area, length, s2
 
     lanes = np.arange(len(s1_a))
     s1, status = invert_monotone_many(
@@ -367,10 +369,29 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
         args=(lanes,))
     for i in np.flatnonzero(status < -1):
         failures[i] = failures[i] or NoConvergence("area refinement did not converge")
-    ok = np.array([exc is None for exc in failures], dtype=bool)
-    length = np.full(len(s1_a), np.nan)
-    length[ok] = arcs_at(s1[ok], lanes[ok])[1]
-    return length, failures
+    ok = np.flatnonzero([exc is None for exc in failures])
+    area, length, s2 = arcs_at(np.concatenate([s1[ok], s1_a[ok], s1_b[ok]]),
+                               np.tile(ok, 3))
+    area, area_a, area_b = np.split(area, 3)
+    s1, s2 = s1[ok], s2[:len(ok)]
+    # The solve leaves s1 within xatol + xrtol·|s1| of the root, worth the
+    # branch's |dA/ds1| times that in area; the corrector leaves |f| up to
+    # NEWTON_F_TOL, worth |∂A/∂f| at fixed s1 times that (from a √eps step
+    # in s2). A larger miss is a jump in area across the target.
+    arc, moved = (arcsmod.arc_batch(curve, np.fmin(s1, x), np.fmax(s1, x))
+                  for x in (s2, s2 + np.sqrt(np.finfo(float).eps)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        da_df = (moved.area - arc.area) / (moved.residual - arc.residual)
+    miss = np.abs(area - target[ok])
+    jump = miss > (np.abs(area_b - area_a) / (s1_b[ok] - s1_a[ok])
+                   * (1e-14 + XRTOL * np.abs(s1))
+                   + np.abs(da_df) * arcsmod.NEWTON_F_TOL)
+    for i, m in zip(ok[jump], miss[jump]):
+        failures[i] = NoArcAtArea(f"area misses the target by {m:.3e} "
+                                  "where the solve stopped: a jump, not a root")
+    out = np.full(len(s1_a), np.nan)
+    out[ok] = np.where(jump, np.nan, length[:len(ok)])
+    return out, failures
 
 
 def general_profile_oracle(curve: PlaneBoundary, target_area: float,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,19 @@ def test_segment_at_half_area(ellipse_main):
     assert seg.contained
 
 
+def test_area_continuous_across_segment_band(ellipse_main):
+    # the arcs near the major-axis chord turn by about s1 − π; inside
+    # |N1 + N2| < SEGMENT_NORMAL_TOL they are kept as segments, and their area
+    # still follows the circular arcs' across the band's edge at 5e-9
+    d = np.array([-5.1e-9, -4.9e-9, 0.0, 4.9e-9, 5.1e-9])
+    s1 = np.pi + d
+    batch = arcs.arc_batch(ellipse_main, s1, TWO_PI - s1 + np.pi)
+    batch.raise_first()
+    assert batch.segment.tolist() == [False, True, True, True, False]
+    # dA/ds1 = 1/3 here: the area of the circular branch, to rounding
+    assert np.max(np.abs(batch.area - np.pi / 2.0 - d / 3.0)) < 1e-14
+
+
 def scalar_arc(curve, t_lo, t_hi, f_tol):
     """Reference: build_arc's chord-frame math one pair at a time, as scalars.
 
@@ -214,28 +229,29 @@ def scalar_arc(curve, t_lo, t_hi, f_tol):
     if abs(f_val) > f_tol * max(chord_len, 1.0):
         return NotPerfect, f"two-point residual {f_val:.3e} exceeds {f_tol:.1e}"
     moment = curve.moment_between(t_lo, t_hi)
+    chord_ang = np.arctan2(c_hat[1], c_hat[0])
+    alpha_a = wrap(np.arctan2(s.normal[0][1], s.normal[0][0]) - chord_ang)
+    alpha_b = wrap(chord_ang - np.arctan2(s.normal[1][1], s.normal[1][0]))
+    mismatch = wrap(alpha_a - alpha_b)
+    alpha = wrap(alpha_a - 0.5 * mismatch)
+    sin_a = np.sin(alpha)
+    x = 2.0 * alpha
+    two_alpha_minus_sin = (x ** 3 / 6.0 * (1.0 - x * x / 20.0 + x ** 4 / 840.0)
+                           if abs(x) < 0.05 else x - np.sin(x))
+    bulge = chord_len ** 2 * two_alpha_minus_sin / (8.0 * sin_a ** 2) if alpha else 0.0
     if float(np.hypot(*n_sum)) < arcs.SEGMENT_NORMAL_TOL:
         if abs(cross(c_hat, s.normal[0])) > arcs.SEGMENT_NORMAL_TOL:
             return (NormalsParallelButNotAligned,
                     "normals anti-parallel but chord not aligned with them")
         ortho = max(abs(np.dot(s.tangent[0], c_hat)), abs(np.dot(s.tangent[1], c_hat)))
-        return ("segment", 0.0, chord_len, 0.5 * (moment + cross(b_pt, a_pt)),
-                float(ortho))
-    chord_ang = np.arctan2(c_hat[1], c_hat[0])
-    alpha_a = wrap(np.arctan2(s.normal[0][1], s.normal[0][0]) - chord_ang)
-    alpha_b = wrap(chord_ang - np.arctan2(s.normal[1][1], s.normal[1][0]))
-    mismatch = wrap(alpha_a - alpha_b)
+        # a near-segment keeps the sliver its tiny turning encloses
+        return ("segment", 0.0, chord_len,
+                0.5 * (moment + cross(b_pt, a_pt)) + bulge, float(ortho))
     if abs(mismatch) > 1e-5:
         return NotPerfect, f"endpoint turning angles differ by {mismatch:.3e}"
-    alpha = wrap(alpha_a - 0.5 * mismatch)
     if abs(alpha) < 1e-12:
         return (NormalsParallelButNotAligned,
                 "vanishing turning angle outside the segment branch")
-    sin_a = np.sin(alpha)
-    x = 2.0 * alpha
-    two_alpha_minus_sin = (x ** 3 / 6.0 * (1.0 - x * x / 20.0 + x ** 4 / 840.0)
-                           if abs(x) < 0.05 else x - np.sin(x))
-    bulge = chord_len ** 2 * two_alpha_minus_sin / (8.0 * sin_a ** 2)
     t_arc_a = np.array([np.cos(chord_ang + alpha), np.sin(chord_ang + alpha)])
     t_arc_b = np.array([np.cos(chord_ang - alpha), np.sin(chord_ang - alpha)])
     ortho = max(abs(np.dot(t_arc_a, s.tangent[0])), abs(np.dot(t_arc_b, s.tangent[1])))
@@ -365,24 +381,37 @@ def test_scan_finds_both_families(ellipse_main):
 
 
 def test_scan_drops_spurious_antipodal(ellipse_main):
-    # the line s2 = s1 + pi zeroes f identically but is not a perfect chord
+    # the line s2 = s1 + pi zeroes f identically but is not a perfect chord;
+    # the scan's function h = f·tan(Δ/2) does not vanish there
     roots = arcs.scan_arc_roots(ellipse_main, 0.3)
     assert all(abs((r - 0.3) - np.pi) > 1e-3 for r in roots)
 
 
-def _dense_crossings(curve, s1, n=8192, exclusion=1e-2):
-    """Sign changes of f(s1, ·) on a fine grid, from raw boundary samples.
+def _dense_crossings(curve, s1_grid, exclusion, n=16384):
+    """Per slice, sign changes of f(s1, ·) on one fine uniform grid of the
+    boundary, by direct differences of raw samples: (genuine, spurious) lower
+    cell ends, in s2 ∈ (s1 + exclusion, s1 + 2π − exclusion).
 
     A cell across which N1 + N2 reverses holds the spurious crossing where
-    the normals are anti-parallel; the other crossings are genuine roots.
+    the normals are anti-parallel; the other crossings are genuine roots. The
+    nodes sit at half steps, 2π(j + ½)/n: for the half-step slicings below
+    that keeps s1 + π, and the symmetric partners of an ellipse, at least a
+    sixth of a cell from every node, so no crossing falls on a node.
     """
-    s2 = s1 + np.linspace(exclusion, TWO_PI - exclusion, n)
-    s = curve.sample(np.concatenate([[s1], s2]))
-    n_sum = s.normal[0] + s.normal[1:]
-    f = np.einsum("ij,ij->i", s.position[0] - s.position[1:], n_sum)
-    change = np.sign(f[:-1]) != np.sign(f[1:])
-    flip = np.einsum("ij,ij->i", n_sum[:-1], n_sum[1:]) < 0.0
-    return s2[:-1][change & ~flip], s2[:-1][change & flip]
+    t = TWO_PI * (np.arange(n) + 0.5) / n
+    dense, ends = curve.sample(t), curve.sample(s1_grid)
+    out = []
+    for s1, c1, n1 in zip(s1_grid, ends.position, ends.normal):
+        n_sum = n1 + dense.normal
+        f = np.einsum("ij,ij->i", c1 - dense.position, n_sum)
+        change = np.sign(f) != np.sign(np.roll(f, -1))
+        flip = np.einsum("ij,ij->i", n_sum, np.roll(n_sum, -1, axis=0)) < 0.0
+        # cell j runs from node j to node j + 1, counted around the turn
+        off = (t - s1) % TWO_PI
+        inside = (off > exclusion) & (off + TWO_PI / n < TWO_PI - exclusion)
+        out.append(tuple(np.sort(s1 + off[inside & change & keep])
+                         for keep in (~flip, flip)))
+    return out
 
 
 @pytest.mark.parametrize("name", ["ellipse", "fourier", "perturbed"])
@@ -390,29 +419,57 @@ def test_batched_scan_matches_dense_scan(name, ellipse_main, fourier_domain):
     curve = {"ellipse": ellipse_main, "fourier": fourier_domain,
              "perturbed": pert.build_perturbed_domain(
                  pert.PerturbationField.mode(3), 5e-3)}[name]
-    s1_grid = (np.arange(96) + 0.5) * TWO_PI / 96
-    batched = arcs.scan_arc_roots(curve, s1_grid)
-    assert len(batched) == len(s1_grid)
-    single = arcs.scan_arc_roots(curve, float(s1_grid[5]))
-    assert isinstance(single, list) and all(type(r) is float for r in single)
-    assert single == pytest.approx(batched[5], abs=1e-12)
-    fine, coarse = TWO_PI / 8191, TWO_PI / 511
-    missed_slices = 0
-    for s1, roots in zip(s1_grid, batched):
-        genuine, spurious = _dense_crossings(curve, s1)
-        for r in roots:
-            assert abs(arcs.two_point_f(curve, s1, r)) <= 1e-12
-            assert np.min(np.abs(genuine - r)) <= fine
-        missed = [g for g in genuine if np.min(np.abs(np.subtract(roots, g))) > fine]
-        if len(missed):
-            # the 512-point scan misses only a root within one of its cells
-            # of the spurious crossing, whose sign change cancels the root's
-            missed_slices += 1
-            assert len(genuine) == len(roots) + len(missed)
-            for g in missed:
-                assert np.min(np.abs(spurious - g)) < coarse
-    # near-diametral arcs of the perturbed disk at 12 of 96 slices
-    assert missed_slices == (12 if name == "perturbed" else 0)
+    fine = TWO_PI / 16384
+    # at 768 slices the default scan has one node per slice (N = 768, 0.0082
+    # apart); near s1 = 0.53 + kπ/3 the perturbed disk has two near-diametral
+    # roots 0.0042 apart, so that slicing scans 1536 nodes
+    for n_s1, n_scan in ((96, arcs.SCAN_POINTS), (192, arcs.SCAN_POINTS),
+                         (768, 1536)):
+        s1_grid = (np.arange(n_s1) + 0.5) * TWO_PI / n_s1
+        batched = arcs.scan_arc_roots(curve, s1_grid, n_scan)
+        assert len(batched) == n_s1
+        # a scalar s1 scans its own node set and finds the same roots; the
+        # slice near s1 = 0.35 keeps its partners away from the vertices,
+        # where h's sign is rounding noise over ~1e-11 of s2
+        k = 5 * n_s1 // 96
+        single = arcs.scan_arc_roots(curve, float(s1_grid[k]))
+        assert isinstance(single, list) and all(type(r) is float for r in single)
+        assert single == pytest.approx(batched[k], abs=1e-12)
+        counts = [len(r) for r in batched]
+        f = arcs.two_point_f_many(curve, np.repeat(s1_grid, counts),
+                                  np.concatenate(batched))
+        assert np.max(np.abs(f)) <= 1e-12
+        # compare where both scans can bracket a root: two scan cells in
+        # from the chord's own zero at s2 = s1, less one dense cell
+        edge = 2.0 * TWO_PI / (n_s1 * -(-n_scan // n_s1))
+        dense = _dense_crossings(curve, s1_grid, edge)
+        for s1, roots, (genuine, _) in zip(s1_grid, batched, dense):
+            roots = np.array(roots)
+            # every root lies in a genuine dense cell, and every genuine cell
+            # holds a root: none is missed, including the near-diametral arcs
+            # of the perturbed disk next to the spurious crossing
+            for r in roots[(roots - s1 > edge + fine)
+                           & (roots - s1 < TWO_PI - edge - fine)]:
+                assert np.any((genuine <= r) & (r <= genuine + fine))
+            for g in genuine[(genuine - s1 > edge + fine)
+                             & (genuine - s1 < TWO_PI - edge - 2.0 * fine)]:
+                assert np.any((g <= roots) & (roots <= g + fine))
+
+
+def test_scan_memory_stays_at_two_grids():
+    # h on the (s1, s2) grid is assembled from one boundary sample without
+    # gathered (n_s1, N, 2) temporaries: at n_s1 = 768 (N = 768) the scan's
+    # peak allocation stays below three n_s1·N float64 arrays
+    curve = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3)
+    s1_grid = (np.arange(768) + 0.5) * TWO_PI / 768
+    arcs.scan_arc_roots(curve, s1_grid)
+    tracemalloc.start()
+    try:
+        arcs.scan_arc_roots(curve, s1_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 768 * 768 * 8
 
 
 @pytest.mark.parametrize("name, circle", [
@@ -438,7 +495,14 @@ def test_is_circle(name, circle, unit_disk, ellipse_main):
 def test_scan_without_cells_finds_nothing(ellipse_main):
     for n_scan in (0, 1):
         assert arcs.scan_arc_roots(ellipse_main, 0.3, n_scan) == []
-        assert arcs.scan_arc_roots(ellipse_main, [0.3, 1.0], n_scan) == [[], []]
+        assert arcs.scan_arc_roots(ellipse_main, [0.3, 0.3 + np.pi],
+                                   n_scan) == [[], []]
+
+
+def test_scan_refuses_uneven_slices(ellipse_main):
+    # the shared node set holds every s1 only for evenly spaced slices
+    with pytest.raises(ValueError, match="spaced"):
+        arcs.scan_arc_roots(ellipse_main, [0.3, 1.0])
 
 
 def test_corrector_scan_fallback_recovers_scan_roots(monkeypatch, fourier_domain):

@@ -363,8 +363,53 @@ def test_oracle_rejects_bad_area(unit_disk):
         prof.general_profile_oracle(unit_disk, 4.0)
 
 
+def test_refinement_records_area_jump_lane(monkeypatch, ellipse_main):
+    calls = []
+    refine = prof._refine_on_branch
+    monkeypatch.setattr(prof, "_refine_on_branch",
+                        lambda *args: calls.append(args) or refine(*args))
+    prof.general_profile_oracle(ellipse_main, 1.0)
+    monkeypatch.setattr(prof, "_refine_on_branch", refine)
+    _, s1_a, _, s1_b, _, target = calls[0]
+    clean, _ = refine(*calls[0])
+    kernel = arcs.arc_batch
+
+    def jumping(curve, t_lo, t_hi):
+        # lane 2's areas lifted 1e-6 away from its target on both sides of
+        # the solution: the area jumps across the target instead of crossing
+        batch = kernel(curve, t_lo, t_hi)
+        hit = (np.asarray(t_lo) >= s1_a[2]) & (np.asarray(t_lo) <= s1_b[2])
+        away = 1e-6 * np.sign(batch.area - target[2])
+        return batch._replace(area=np.where(hit, batch.area + away, batch.area))
+
+    monkeypatch.setattr(arcs, "arc_batch", jumping)
+    length, failures = refine(*calls[0])
+    assert np.isnan(length[2])
+    assert type(failures[2]) is NoArcAtArea and "a jump, not a root" in str(failures[2])
+    assert [exc is None for exc in failures] == [i != 2 for i in range(len(s1_a))]
+    assert np.max(np.abs(np.delete(length, 2) - np.delete(clean, 2))) < 1e-12
+
+
+def test_oracle_half_area_segments_all_converge(monkeypatch, ellipse_main):
+    # at half area four segments cross the straight chord along the major
+    # axis; the area is continuous there, so every segment converges in a
+    # few solver steps (where it jumped, the solve bisected 42 times)
+    results, corrections = [], []
+    refine, correct = prof._refine_on_branch, arcs._correct_s2
+    monkeypatch.setattr(prof, "_refine_on_branch",
+                        lambda *args: results.append(refine(*args)) or results[-1])
+    monkeypatch.setattr(arcs, "_correct_s2",
+                        lambda *args: corrections.append(1) or correct(*args))
+    value = prof.general_profile_oracle(ellipse_main, HALF_PI)
+    [(length, failures)] = results
+    assert len(failures) == 16 and all(exc is None for exc in failures)
+    assert np.sum(np.abs(length - 2.0 * SQRT2) < 1e-12) == 4
+    assert value == pytest.approx(SQRT2, abs=1e-14)
+    assert len(corrections) <= 10
+
+
 def test_oracle_logs_dropped_refinements(caplog):
-    # cos 4u at its critical area: four straddling segments leave the window
+    # cos 4u at its critical area: nine straddling segments leave the window
     area = pert.find_mode_roots(4)[0].area
     curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), 1e-3)
     with caplog.at_level(logging.DEBUG, logger="isoperim"):
@@ -372,7 +417,7 @@ def test_oracle_logs_dropped_refinements(caplog):
     assert np.isfinite(value)
     dropped = [r.getMessage() for r in caplog.records
                if r.name == "isoperim" and "refinement dropped" in r.getMessage()]
-    assert len(dropped) == 4
+    assert len(dropped) == 9
     assert all(m.startswith("refinement dropped: NoArcAtArea on s1 in [")
                for m in dropped)
 
