@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from isoperim._roots import XRTOL
 from isoperim.geometry import SupportCurve
 
 settings.register_profile(
@@ -49,3 +50,19 @@ def class_a_suite(ellipse_main, ellipse_family, fourier_domain):
     for eps, curve in ellipse_family.items():
         suite[f"ellipse_eps_{eps}"] = curve
     return suite
+
+
+@pytest.fixture(scope="session")
+def find_root_solver():
+    """`invert_monotone_many` as one scipy `find_root` call, the reference
+    for its in-house loop; also returns the iterations each element took."""
+    elementwise = pytest.importorskip("scipy.optimize.elementwise")
+
+    def solve(fn, lo, hi, xtol, args=()):
+        res = elementwise.find_root(fn, (lo, hi), args=args,
+                                    tolerances=dict(xatol=xtol, xrtol=XRTOL))
+        (x_l, x_r), (f_l, f_r) = res.bracket, res.f_bracket
+        ends = np.where(np.abs(f_l) <= np.abs(f_r), x_l, x_r)
+        return np.where(res.status == -1, ends, res.x), res.status, res.nit
+
+    return solve

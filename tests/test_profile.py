@@ -432,6 +432,30 @@ def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):
         prof.general_profile_oracle(ellipse_main, 1.0)
 
 
+def test_oracle_values_equal_the_find_root_solver(monkeypatch, ellipse_main,
+                                                  fourier_domain, find_root_solver):
+    """The in-house Chandrupatla loop takes scipy `find_root`'s iterates, so
+    the oracle and the experiment give the same floats on either solver."""
+    perturbed = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3)
+    cases = [(ellipse_main, 0.4), (ellipse_main, HALF_PI), (fourier_domain, 0.8),
+             (perturbed, 1.0), (SupportCurve.disk(1.5), 2.0)]
+    config = pert.ExperimentConfig(s_grid=(1e-3, 2e-3, 3e-3), n_s1=48)
+    area = disk.theta_to_area(1.0)
+
+    def run():
+        return ([prof.general_profile_oracle(c, a) for c, a in cases],
+                pert.profile_decrease_experiment(pert.PerturbationField.mode(2),
+                                                 area, config))
+
+    ours, sites = run(), set()
+    for mod in (prof, arcs):
+        monkeypatch.setattr(mod, "invert_monotone_many",
+                            lambda *a, name=mod.__name__, **k:
+                            sites.add(name) or find_root_solver(*a, **k)[:2])
+    assert run() == ours
+    assert sites == {prof.__name__, arcs.__name__}
+
+
 # --- small-area asymptotics -----------------------------------------------------
 
 def test_richardson_slope_disk():
