@@ -1,10 +1,11 @@
 """Root finding shared by every one-dimensional solve in the package.
 
-The scalar helpers refine with Brent's method (scipy `brentq`), which keeps a
-bracket like bisection but converges superlinearly on smooth functions.
-`invert_monotone_many` solves many brackets at once with Chandrupatla's
-method (doi:10.1016/s0965-9978(96)00051-8), same guarantees, done in-house:
-a numpy loop with scipy `find_root`'s iterates, without its bookkeeping.
+Every inversion of a monotone map goes through `invert_monotone_many`, which
+solves many brackets at once with Chandrupatla's method
+(doi:10.1016/s0965-9978(96)00051-8): a numpy loop with scipy `find_root`'s
+iterates, without its bookkeeping. `sign_change_roots` refines the few roots
+of a scanned grid with Brent's method (scipy `brentq`), which is cheaper than
+the array loop for a handful of scalar brackets.
 """
 
 from __future__ import annotations
@@ -17,24 +18,12 @@ XRTOL = 4.0 * np.finfo(float).eps  # brentq's default rtol
 MAX_ITER = 2046
 
 
-def invert_monotone(fn, lo: float, hi: float, xtol: float) -> float:
-    """Root of a monotone fn on [lo, hi].
-
-    When fn keeps one sign on the bracket the endpoint with the smaller |fn|
-    is returned: a target at the end of the range (fn(hi) ≈ −1e-15 from
-    rounding) is a legal input, not a missing root.
-    """
-    f_lo, f_hi = fn(lo), fn(hi)
-    if np.sign(f_lo) * np.sign(f_hi) > 0.0:
-        return lo if abs(f_lo) <= abs(f_hi) else hi
-    return float(brentq(fn, lo, hi, xtol=xtol))
-
-
 def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
-    """`invert_monotone` elementwise over the brackets [lo, hi]: Chandrupatla's
-    method done in-house, with `find_root`'s iterates, tolerances and
-    statuses. fn(x, *args) is elementwise and args broadcast (dtype kept);
-    both ends go to fn in one call, later calls get the open lanes only.
+    """Roots of monotone maps on the brackets [lo, hi], one per element:
+    Chandrupatla's method done in-house, with `find_root`'s iterates,
+    tolerances and statuses. fn(x, *args) is elementwise and args broadcast
+    (dtype kept); both ends go to fn in one call, later calls get the open
+    lanes only.
 
     Returns (x, status): status 0 converged; −1 fn keeps one sign on the
     bracket, x the end with the smaller |fn| (ties to lo); −2 still open

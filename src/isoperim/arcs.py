@@ -34,6 +34,8 @@ from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
                        curvature_arclength_derivatives)
 
 SEGMENT_NORMAL_TOL = 1e-8
+# |f| an endpoint pair may leave, per unit of max(chord, 1), and still be perfect
+ARC_F_TOL = 1e-8
 NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # boundary nodes per turn of the root scan, at least
@@ -172,7 +174,6 @@ class ArcBatch(NamedTuple):
     ortho: np.ndarray       # max |arc tangent · boundary tangent| at the ends
     a_pt: np.ndarray        # shape (n, 2): boundary point at t_lo
     b_pt: np.ndarray
-    f_tol: float
 
     def error(self, i: int):
         """The exception `build_arc` raises for element i, or None."""
@@ -181,7 +182,7 @@ class ArcBatch(NamedTuple):
             return None
         kind, message = ARC_FAILURES[code]
         return kind(message.format(residual=self.residual[i],
-                                   mismatch=self.mismatch[i], f_tol=self.f_tol))
+                                   mismatch=self.mismatch[i], f_tol=ARC_F_TOL))
 
     def raise_first(self):
         """Raise the first element's failure, if any element failed."""
@@ -190,7 +191,7 @@ class ArcBatch(NamedTuple):
             raise self.error(bad[0])
 
 
-def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch:
+def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
     """Arc kernel: the perfect arcs certified by f(t_lo, t_hi) ≈ 0, on arrays.
 
     The enclosed region is the loop [boundary t_lo → t_hi, arc back]; its
@@ -216,7 +217,7 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = chord / chord_len[:, None]
         residual = chord[:, 0] * n_sum[:, 0] + chord[:, 1] * n_sum[:, 1]
-        not_perfect = np.abs(residual) > f_tol * np.maximum(chord_len, 1.0)
+        not_perfect = np.abs(residual) > ARC_F_TOL * np.maximum(chord_len, 1.0)
         base_area = 0.5 * (curve.moment_between(t_lo, t_hi) + _cross(b_pt, a_pt))
 
         # anti-parallel normals: perfect chord iff it runs along them
@@ -250,8 +251,7 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, f_tol: float = 1e-8) -> ArcBatch
             np.abs(np.cos(ang_a) * ta[:, 0] + np.sin(ang_a) * ta[:, 1]),
             np.abs(np.cos(ang_b) * tb[:, 0] + np.sin(ang_b) * tb[:, 1]))
     return ArcBatch(failure, segment, residual, mismatch, alpha, chord_len,
-                    chord_ang, curvature, length, area, ortho, a_pt, b_pt,
-                    float(f_tol))
+                    chord_ang, curvature, length, area, ortho, a_pt, b_pt)
 
 
 def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float) -> PerfectArc:

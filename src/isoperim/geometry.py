@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import invert_monotone, sign_change_roots
+from ._roots import invert_monotone_many, sign_change_roots
 from .errors import NonConvex, NumericalError
 from .trig import TrigSeries, fit_periodic
 
@@ -205,20 +205,20 @@ class SupportCurve(PlaneBoundary):
         """∫ ρ dθ over [t0, t1], exact."""
         return self.rho_series.integral_between(t0, t1)
 
-    def theta_at_arclength(self, theta_ref: float, s: float) -> float:
-        """Invert the arclength map from theta_ref by Brent's method.
+    def theta_at_arclength(self, theta_ref: float, s):
+        """Invert the arclength map from theta_ref, elementwise in s.
 
-        ds/dθ = ρ ≥ min ρ, so the root lies between theta_ref and
+        ds/dθ = ρ ≥ min ρ, so each root lies between theta_ref and
         theta_ref + s/min ρ.
         """
         self.require_convex()
-        far = theta_ref + s / self._min_rho
-        theta = invert_monotone(
-            lambda t: self.arclength_between(theta_ref, t) - s,
-            min(theta_ref, far), max(theta_ref, far), 1e-15)
-        if abs(self.arclength_between(theta_ref, theta) - s) > 1e-11:
+        far = theta_ref + np.asarray(s, dtype=float) / self._min_rho
+        theta, _ = invert_monotone_many(
+            lambda t, target: self.arclength_between(theta_ref, t) - target,
+            np.fmin(theta_ref, far), np.fmax(theta_ref, far), 1e-15, args=(s,))
+        if not np.all(np.abs(self.arclength_between(theta_ref, theta) - s) <= 1e-11):
             raise NumericalError("arclength inversion did not converge")
-        return float(theta)
+        return float(theta) if theta.ndim == 0 else theta
 
     # --- misc ---------------------------------------------------------------
 

@@ -116,8 +116,8 @@ def find_mode_roots(n: int) -> list:
     grid = np.linspace(1e-6, HALF_PI - 1e-6, 10_000)
     roots = sign_change_roots(lambda b: mode_condition(n, b), grid,
                               mode_condition(n, grid), 1e-13)
-    return [ModeRoot(n=n, b=r, theta=r, area=diskmod.theta_to_area(r))
-            for r in roots]
+    areas = diskmod.theta_to_area(np.array(roots, dtype=float)).tolist()
+    return [ModeRoot(n=n, b=r, theta=r, area=a) for r, a in zip(roots, areas)]
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +249,8 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
         raise FitIllConditioned("need at least three nonzero s values")
     if not all(s > 0.0 for s in s_values[1:]):
         raise FitIllConditioned(f"s values must be positive, got {s_values[1:]}")
+    if config.n_s1 < 1:
+        raise ValueError(f"n_s1 must be at least 1, got {config.n_s1}")
     builder = domain_builder or (lambda s: build_perturbed_domain(f, s))
 
     def profile_at(s):

@@ -28,7 +28,7 @@ from scipy.optimize import minimize_scalar
 
 from . import arcs as arcsmod
 from . import disk as diskmod
-from ._roots import XRTOL, invert_monotone, invert_monotone_many
+from ._roots import XRTOL, invert_monotone_many
 from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
                      NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
@@ -73,6 +73,8 @@ class ProfileTable:
 
 def profile_grid(n_samples: int) -> np.ndarray:
     """Chebyshev-graded θ grid on (0, π/2]; contains π/4 for even n."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     j = np.arange(1, n_samples + 1)
     return (np.pi / 4.0) * (1.0 - np.cos(np.pi * j / n_samples))
 
@@ -181,20 +183,29 @@ def _symmetric_table(curve: SupportCurve, n_samples: int) -> ProfileTable:
     return ProfileTable(theta, area, length, curvature, curve.domain_id())
 
 
-def family_area_at(curve: SupportCurve, theta: float) -> float:
-    """Green-theorem area of the symmetric arc at half-angle theta."""
-    arc = arcsmod.arc_batch(curve, -theta, theta)
+def family_area_at(curve: SupportCurve, theta):
+    """Green-theorem area of the symmetric arc at half-angle theta, elementwise."""
+    theta = np.asarray(theta, dtype=float)
+    arc = arcsmod.arc_batch(curve, -theta.ravel(), theta.ravel())
     arc.raise_first()
-    return float(arc.area[0])
+    return float(arc.area[0]) if theta.ndim == 0 else arc.area.reshape(theta.shape)
 
 
-def family_theta_at_area(curve: SupportCurve, target: float) -> float:
-    """Invert the monotone A(θ) of the symmetric family by Brent's method."""
-    lo, hi = 1e-9, HALF_PI
-    if not family_area_at(curve, lo) <= target <= curve.area() / 2.0 + 1e-12:
+def _family_theta(curve: SupportCurve, target, lo, hi) -> np.ndarray:
+    """The symmetric family's half-angles at `target` areas, one bracket
+    [lo, hi] per element, in one solve of the monotone A(θ)."""
+    return invert_monotone_many(lambda th, a: family_area_at(curve, th) - a,
+                                lo, hi, 1e-13, args=(target,))[0]
+
+
+def family_theta_at_area(curve: SupportCurve, target):
+    """Invert the monotone A(θ) of the symmetric family, elementwise."""
+    target = np.asarray(target, dtype=float)
+    if not np.all((family_area_at(curve, 1e-9) <= target)
+                  & (target <= curve.area() / 2.0 + 1e-12)):
         raise NoArcAtArea(f"area {target} outside the symmetric family range")
-    return invert_monotone(lambda th: family_area_at(curve, th) - target,
-                           lo, hi, 1e-13)
+    theta = _family_theta(curve, target, 1e-9, HALF_PI)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 # --------------------------------------------------------------------------
@@ -222,63 +233,53 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256) -> ConjectureRep
     The ratio tends to 1 from below as A → 0 whenever κ_max > 1, so areas
     below AREA_FLOOR are certified by the small-area expansion and the
     supremum is reported over [AREA_FLOOR, π/2]; the profile symmetry covers
-    the other half of the range.
+    the other half of the range. The sup is the largest exact ratio among the
+    best sample, the interpolated maximum near it, and the floor itself.
     """
     report = require_class_a(curve, allow_disk=False)
     table = _symmetric_table(curve, n_samples)
 
-    if report.kappa_max <= 1.0:
+    # below the floor the ratio is (1 − s√(A/2π))/(1 − s*√(A/2π)) to leading
+    # order, with s = 4κ_max/3π and s* = 4/3π: below 1 exactly when κ_max > 1
+    if not report.kappa_max > 1.0:
         raise NumericalError("kappa_max <= 1 for an area-pi non-disk domain; "
                              "Pestov-Ionin violated, geometry is inconsistent")
-    # small-area regime: ratio ≈ (1 − s√(A/2π))/(1 − s*√(A/2π)), s > s* ⇔ κmax > 1
-    slope_dom = 4.0 * report.kappa_max / (3.0 * np.pi)
-    slope_disk = 4.0 / (3.0 * np.pi)
-    for a_test in (AREA_FLOOR / 2.0, AREA_FLOOR / 10.0):
-        expansion = ((1.0 - slope_dom * np.sqrt(a_test / TWO_PI))
-                     / (1.0 - slope_disk * np.sqrt(a_test / TWO_PI)))
-        if expansion >= 1.0:
-            raise NumericalError("small-area expansion does not certify the "
-                                 "ratio below the area floor")
 
-    mask = table.area >= AREA_FLOOR
-    if not np.any(mask):
+    # A rises with θ, so table rows j.. are the samples at or above the floor
+    j = int(np.argmax(table.area >= AREA_FLOOR))
+    if table.area[j] < AREA_FLOOR:
         raise NumericalError("area floor exceeds the sampled range")
-    l_of_a = PchipInterpolator(table.area, table.length)
-
-    def ratio(a):
-        return float(l_of_a(a)) / diskmod.profile(float(a))
-
-    a_samp = table.area[mask]
-    r_samp = np.array([ratio(a) for a in a_samp])
-    i_max = int(np.argmax(r_samp))
-    lo = a_samp[max(0, i_max - 1)]
-    hi = a_samp[min(len(a_samp) - 1, i_max + 1)]
-    lo = max(lo, AREA_FLOOR)
-    res = minimize_scalar(lambda a: -ratio(a), bounds=(float(lo), float(hi)),
-                          method="bounded",
-                          options={"xatol": 1e-12 * max(1.0, float(hi))})
-    a_star, r_star = float(res.x), -float(res.fun)
-    if r_samp[i_max] > r_star:
-        a_star, r_star = float(a_samp[i_max]), float(r_samp[i_max])
+    a_samp, l_of_a = table.area[j:], PchipInterpolator(table.area, table.length)
+    # the disk's half-angles at the sampled areas and at the floor, one solve
+    theta_disk = diskmod.area_to_theta(
+        np.append(np.minimum(a_samp, np.pi - a_samp), AREA_FLOOR))
+    i = int(np.argmax(l_of_a(a_samp) / diskmod.theta_to_length(theta_disk[:-1])))
+    near = np.clip([i - 1, i + 1], 0, len(a_samp) - 1)
+    # the interpolated ratio's maximum between the neighbours, sought in the
+    # disk's half-angle θ*, where A* and L* are closed form
+    res = minimize_scalar(lambda th: -float(l_of_a(diskmod.theta_to_area(th)))
+                          / diskmod.theta_to_length(th), bounds=tuple(theta_disk[near]),
+                          method="bounded", options={"xatol": 1e-12})
+    a_star = diskmod.theta_to_area(float(res.x))
+    # the family at a_star and at the floor, each bracketed by its table rows
+    lo = [table.theta[j + near[0]], table.theta[j - 1] if j else 1e-9]
+    theta_fam = _family_theta(curve, np.array([a_star, AREA_FLOOR]), lo,
+                              [table.theta[j + near[1]], table.theta[j]])
+    # exact ratios of the candidates: best sample, interpolated maximum, floor
+    theta_dom = np.array([table.theta[j + i], *theta_fam])
+    theta_star = np.array([theta_disk[i], res.x, theta_disk[-1]])
+    ratio = _family_length(curve, theta_dom) / diskmod.theta_to_length(theta_star)
+    k = int(np.argmax(ratio))
+    a_max, r_max = float([a_samp[i], a_star, AREA_FLOOR][k]), float(ratio[k])
 
     span = float(a_samp[-1]) - AREA_FLOOR
-    interior = (a_star - AREA_FLOOR > 1e-3 * span
-                and float(a_samp[-1]) - a_star > 1e-3 * span)
     stationarity = None
-    if interior:
-        theta_dom = family_theta_at_area(curve, a_star)
-        theta_disk = diskmod.area_to_theta(min(a_star, np.pi - a_star))
-        stationarity = abs((np.pi - 2.0 * theta_dom) / (np.pi - 2.0 * theta_disk)
-                           - r_star ** 2)
-
-    return ConjectureReport(
-        sup_ratio=float(r_star),
-        argmax_area=float(a_star),
-        passed=bool(r_star < 1.0),
-        margin=float(1.0 - r_star),
-        area_floor=AREA_FLOOR,
-        stationarity_residual=stationarity,
-    )
+    if a_max - AREA_FLOOR > 1e-3 * span and float(a_samp[-1]) - a_max > 1e-3 * span:
+        stationarity = float(abs((np.pi - 2.0 * theta_dom[k])
+                                 / (np.pi - 2.0 * theta_star[k]) - r_max ** 2))
+    return ConjectureReport(sup_ratio=r_max, argmax_area=a_max, passed=r_max < 1.0,
+                            margin=1.0 - r_max, area_floor=AREA_FLOOR,
+                            stationarity_residual=stationarity)
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +406,8 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     |Ω| − target is refined in s1; all of them in one `_refine_on_branch`
     call. Independent of every closed form in the package.
     """
+    if n_s1 < 1:
+        raise ValueError(f"n_s1 must be at least 1, got {n_s1}")
     total = curve.area()
     if not 0.0 < target_area < total:
         raise NoArcAtArea(f"target area {target_area} outside (0, {total:.6g})")

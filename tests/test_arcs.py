@@ -291,7 +291,7 @@ def _kernel_pairs(curve, rng):
             np.concatenate([p[1] for p in pairs]))
 
 
-def test_arc_kernel_matches_scalar_math(ellipse_main, fourier_domain):
+def test_arc_kernel_matches_scalar_math(monkeypatch, ellipse_main, fourier_domain):
     # one float64 evaluation differs from another only in the summation order
     # of the closed-form boundary moment and of 2-vector dot products: allow
     # 64 ulps of the quantity's scale
@@ -303,7 +303,8 @@ def test_arc_kernel_matches_scalar_math(ellipse_main, fourier_domain):
     for curve in curves:
         t_lo, t_hi = _kernel_pairs(curve, rng)
         for f_tol in (1e-8, 10.0):   # 10: non-perfect pairs reach the turning test
-            batch = arcs.arc_batch(curve, t_lo, t_hi, f_tol)
+            monkeypatch.setattr(arcs, "ARC_F_TOL", f_tol)
+            batch = arcs.arc_batch(curve, t_lo, t_hi)
             for i, (a, b) in enumerate(zip(t_lo, t_hi)):
                 want = scalar_arc(curve, a, b, f_tol)
                 got = batch.error(i)
@@ -319,7 +320,8 @@ def test_arc_kernel_matches_scalar_math(ellipse_main, fourier_domain):
                                    (batch.area[i], area), (batch.ortho[i], ortho)):
                     assert abs(value - ref) <= tol * max(1.0, abs(ref))
     stub = _Frames([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
-    flat = arcs.arc_batch(stub, [0], [1], 10.0)
+    monkeypatch.setattr(arcs, "ARC_F_TOL", 10.0)
+    flat = arcs.arc_batch(stub, [0], [1])
     assert str(flat.error(0)) == "vanishing turning angle outside the segment branch"
     with pytest.raises(NormalsParallelButNotAligned, match="vanishing"):
         flat.raise_first()

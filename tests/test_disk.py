@@ -39,6 +39,35 @@ def test_out_of_range():
             disk.profile(bad)
 
 
+def test_array_calls_equal_scalar_calls():
+    thetas = np.array([1e-6, 0.01, 0.3, np.pi / 4.0, 1.3, HALF_PI - 1e-9])
+    areas = np.array([1e-9, 0.02, 0.5, HALF_PI - 1.0, 1.4, HALF_PI, 2.0, 3.1])
+    cases = [(disk.theta_to_area, thetas), (disk.theta_to_length, thetas),
+             (disk.theta_to_curvature, thetas), (disk.profile, areas),
+             (disk.area_to_theta, areas[areas <= HALF_PI])]
+    for fn, xs in cases:
+        many = fn(xs)
+        assert many.shape == xs.shape
+        for x, y in zip(xs, many):
+            one = fn(float(x))
+            assert type(one) is float
+            assert one == y
+        assert np.array_equal(fn(xs.reshape(-1, 1)), many.reshape(-1, 1))
+
+
+def test_array_out_of_range_refused():
+    with pytest.raises(OutOfRange, match="got 0.0"):
+        disk.theta_to_area(np.array([0.3, 0.0, 1.0]))
+    with pytest.raises(OutOfRange, match="got nan"):
+        disk.theta_to_length(np.array([0.3, np.nan]))
+    with pytest.raises(OutOfRange):
+        disk.theta_to_curvature(np.array([HALF_PI]))
+    with pytest.raises(OutOfRange, match="got 1.6"):
+        disk.area_to_theta(np.array([0.5, 1.6]))
+    with pytest.raises(OutOfRange, match="got 3.2"):
+        disk.profile(np.array([[0.5], [3.2]]))
+
+
 def test_inversion_roundtrip():
     for theta in (0.01, 0.3, np.pi / 4.0, 1.3, HALF_PI - 1e-4):
         a = disk.theta_to_area(theta)

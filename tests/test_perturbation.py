@@ -268,3 +268,10 @@ def test_experiment_refuses_nonpositive_s(s_grid):
     with pytest.raises(FitIllConditioned, match="positive"):
         pert.profile_decrease_experiment(pert.PerturbationField.mode(2), 1.0,
                                          pert.ExperimentConfig(s_grid=s_grid))
+
+
+def test_experiment_refuses_empty_slicing():
+    # a bad size is a configuration error, not an oracle failure
+    with pytest.raises(ValueError, match="n_s1 must be at least 1, got 0"):
+        pert.profile_decrease_experiment(pert.PerturbationField.mode(2), 1.0,
+                                         pert.ExperimentConfig(n_s1=0))

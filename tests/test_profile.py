@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from isoperim import arcs, disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
 from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
                              NotNormalized, NotPerfect)
-from isoperim._roots import invert_monotone
 from isoperim.geometry import SupportCurve
 
 SQRT2 = np.sqrt(2.0)
@@ -173,7 +173,33 @@ def test_grid_contains_quarter_pi():
     assert grid[0] > 0.0
 
 
+def test_grid_refuses_too_few_samples():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 2, got {n}"):
+            prof.profile_grid(n)
+
+
+def test_family_maps_take_arrays(ellipse_main):
+    thetas = np.array([[1e-3, 0.2], [0.9, HALF_PI]])
+    areas = prof.family_area_at(ellipse_main, thetas)
+    assert areas.shape == thetas.shape
+    for t, a in zip(thetas.ravel(), areas.ravel()):
+        assert type(prof.family_area_at(ellipse_main, t)) is float
+        assert prof.family_area_at(ellipse_main, t) == pytest.approx(a, abs=1e-15)
+    back = prof.family_theta_at_area(ellipse_main, areas)
+    assert back.shape == thetas.shape
+    assert np.max(np.abs(back - thetas)) < 1e-12
+    with pytest.raises(NoArcAtArea):
+        prof.family_theta_at_area(ellipse_main, np.array([0.5, 2.0]))
+
+
 # --- conjecture check ----------------------------------------------------------
+
+def exact_ratio(curve, area):
+    """L(A)/L*(A) from the family solved at the area, no interpolation."""
+    theta = prof.family_theta_at_area(curve, area)
+    return float(prof._family_length(curve, theta)) / disk.profile(area)
+
 
 def test_conjecture_on_suite(class_a_suite):
     for name, curve in class_a_suite.items():
@@ -181,6 +207,28 @@ def test_conjecture_on_suite(class_a_suite):
         assert report.passed, name
         assert 0.0 < report.sup_ratio < 1.0, name
         assert report.margin == pytest.approx(1.0 - report.sup_ratio)
+
+
+def test_conjecture_sup_covers_the_area_floor(class_a_suite):
+    # the ratio falls as the area grows, so the sup sits at the floor itself,
+    # not at the first sample above it
+    for name, curve in class_a_suite.items():
+        at_floor = exact_ratio(curve, prof.AREA_FLOOR)
+        for n in (64, 128, 256):
+            report = prof.conjecture_check(curve, n)
+            assert report.sup_ratio >= at_floor - 1e-12, (name, n)
+            assert report.sup_ratio < 1.0, (name, n)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_conjecture_coarse_table_reports_exact_ratio(n, class_a_suite):
+    # between coarse samples the interpolated ratio overshoots (above 1 for
+    # the 1.01 ellipse at 16 samples); the reported sup is an exact ratio
+    for name, curve in class_a_suite.items():
+        report = prof.conjecture_check(curve, n)
+        assert report.passed, (name, n)
+        exact = exact_ratio(curve, report.argmax_area)
+        assert report.sup_ratio <= exact + 1e-12, (name, n)
 
 
 def test_conjecture_margin_shrinks_toward_disk(ellipse_family):
@@ -274,8 +322,7 @@ def refine_one(curve, s1_a, s2_a, s1_b, s2_b, target):
         arc.raise_first()
         return arc
 
-    s1 = invert_monotone(lambda s: arc_at(s).area[0] - target,
-                         s1_a, s1_b, 1e-14)
+    s1 = brentq(lambda s: arc_at(s).area[0] - target, s1_a, s1_b, xtol=1e-14)
     return arc_at(s1).length[0]
 
 
@@ -363,6 +410,12 @@ def test_oracle_rejects_bad_area(unit_disk):
         prof.general_profile_oracle(unit_disk, 4.0)
 
 
+def test_oracle_refuses_empty_slicing(ellipse_main):
+    for n_s1 in (0, -1):
+        with pytest.raises(ValueError, match=f"n_s1 must be at least 1, got {n_s1}"):
+            prof.general_profile_oracle(ellipse_main, 1.0, n_s1)
+
+
 def test_refinement_records_area_jump_lane(monkeypatch, ellipse_main):
     calls = []
     refine = prof._refine_on_branch
@@ -448,12 +501,12 @@ def test_oracle_values_equal_the_find_root_solver(monkeypatch, ellipse_main,
                                                  area, config))
 
     ours, sites = run(), set()
-    for mod in (prof, arcs):
+    for mod in (prof, arcs, disk):
         monkeypatch.setattr(mod, "invert_monotone_many",
                             lambda *a, name=mod.__name__, **k:
                             sites.add(name) or find_root_solver(*a, **k)[:2])
     assert run() == ours
-    assert sites == {prof.__name__, arcs.__name__}
+    assert sites == {prof.__name__, arcs.__name__, disk.__name__}
 
 
 # --- small-area asymptotics -----------------------------------------------------
