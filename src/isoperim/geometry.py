@@ -161,9 +161,11 @@ class SupportCurve(PlaneBoundary):
         if np.any(rho <= 0.0):
             raise NonConvex("h + h'' <= 0 at a requested angle")
         ct, st = np.cos(theta), np.sin(theta)
-        position = np.stack([h * ct - hp * st, h * st + hp * ct], axis=-1)
-        normal = np.stack([ct, st], axis=-1)
-        tangent = np.stack([-st, ct], axis=-1)
+        # filled in place: np.stack costs several times a preallocated fill
+        position, normal, tangent = (np.empty(theta.shape + (2,)) for _ in range(3))
+        position[..., 0], position[..., 1] = h * ct - hp * st, h * st + hp * ct
+        normal[..., 0], normal[..., 1] = ct, st
+        tangent[..., 0], tangent[..., 1] = -st, ct
         return CurveSamples(theta, position, tangent, normal, 1.0 / rho, rho)
 
     def area(self) -> float:
@@ -261,12 +263,13 @@ class RadialCurve(PlaneBoundary):
         r, rp, rpp = TrigSeries.evaluate(u, self.radius_series, self._r_prime,
                                          self._r_second)
         cu, su = np.cos(u), np.sin(u)
-        position = np.stack([r * cu, r * su], axis=-1)
         dx = rp * cu - r * su
         dy = rp * su + r * cu
         w = np.hypot(dx, dy)
-        tangent = np.stack([dx / w, dy / w], axis=-1)
-        normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+        position, tangent, normal = (np.empty(u.shape + (2,)) for _ in range(3))
+        position[..., 0], position[..., 1] = r * cu, r * su
+        tangent[..., 0], tangent[..., 1] = dx / w, dy / w
+        normal[..., 0], normal[..., 1] = tangent[..., 1], -tangent[..., 0]
         curvature = (r * r + 2.0 * rp * rp - r * rpp) / w ** 3
         return CurveSamples(u, position, tangent, normal, curvature, w)
 

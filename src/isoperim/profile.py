@@ -317,17 +317,30 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     return float(np.min(arcs_at(s1, sweep).length))
 
 
+def _branch_slope(curve, s1, s2):
+    """ds2/ds1 = −(∂f/∂s1·w1)/(∂f/∂s2·w2) along f = 0 at each pair, from one
+    `two_point_eval`; not finite where ∂f/∂s2 = 0."""
+    _, g1, g2, w1, w2 = arcsmod.two_point_eval(curve, s1, s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -(g1 * w1) / (g2 * w2)
+
+
 def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     """Lengths of the arcs at `target` area on branch segments whose end
     areas straddle it, one element per segment (the arguments broadcast).
 
-    s2 is interpolated between each segment's ends and corrected onto f = 0,
-    so the area is a function of s1, solved by one `invert_monotone_many`
-    call over every segment: a segment whose end areas lie on one side of
-    the target keeps the end nearer to it. A segment fails at the
-    first s1 where the corrector fails (NoConvergence), the pair leaves the
-    window 0 < hi − lo < 2π or s2 moves more than BRANCH_HALFWIDTH from its
-    interpolated seed (NoArcAtArea), or `arc_batch` rejects the pair. It
+    s2 is seeded by the cubic Hermite interpolant of each segment's end
+    roots and their branch slopes ds2/ds1 (one `two_point_eval` of the 2·n
+    ends), or by the chord between the ends where that interpolant is not
+    finite or strays from the chord by more than BRANCH_HALFWIDTH / 2; the
+    seed depends only on the segment and s1. The seed is corrected onto
+    f = 0, so the area is a function of s1, solved by one
+    `invert_monotone_many` call over every segment: a segment whose end
+    areas lie on one side of the target keeps the end nearer to it. A
+    segment fails at the first s1 where the corrector fails
+    (NoConvergence), the pair leaves the window 0 < hi − lo < 2π or s2
+    moves more than BRANCH_HALFWIDTH from its seed (NoArcAtArea), or
+    `arc_batch` rejects the pair. It
     also fails (NoArcAtArea) where the solved area misses the target by more
     than the solve's accuracy: the bracket then closed on a jump in area.
     Returns (length, failures): NaN length and, in `failures`, the exception
@@ -336,13 +349,30 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     s1_a, s2_a, s1_b, s2_b, target = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
           for v in (s1_a, s2_a, s1_b, s2_b, target)))
-    slope = (s2_b - s2_a) / (s1_b - s1_a)
+    width = s1_b - s1_a
+    slope = (s2_b - s2_a) / width
+    # the branch's slopes ds2/ds1 at both ends, less the chord's
+    bend_a, bend_b = np.reshape(_branch_slope(
+        curve, np.concatenate([s1_a, s1_b]), np.concatenate([s2_a, s2_b])),
+        (2, -1)) - slope
     failures = [None] * len(s1_a)
+
+    def seed_at(s1, lane):
+        """The cubic Hermite interpolant of the lane's end roots and slopes
+        at s1, or the chord where it is not finite or strays from the chord
+        by more than BRANCH_HALFWIDTH / 2."""
+        line = s2_a[lane] + slope[lane] * (s1 - s1_a[lane])
+        t = (s1 - s1_a[lane]) / width[lane]
+        with np.errstate(invalid="ignore", over="ignore"):
+            bend = width[lane] * t * (1.0 - t) * (
+                (1.0 - t) * bend_a[lane] - t * bend_b[lane])
+            keep = np.isfinite(bend) & (np.abs(bend) <= BRANCH_HALFWIDTH / 2.0)
+        return line + np.where(keep, bend, 0.0)
 
     def arcs_at(s1, lane):
         """(area, length) at s1 per lane; a failed lane is recorded and reads
         as a root, so that the solver retires it."""
-        seed = s2_a[lane] + slope[lane] * (s1 - s1_a[lane])
+        seed = seed_at(s1, lane)
         s2 = arcsmod._correct_s2(curve, s1, seed, BRANCH_HALFWIDTH)
         lo, hi = np.fmin(s1, s2), np.fmax(s1, s2)
         # a partner outside the corrector's bracket has jumped to another branch
@@ -400,11 +430,15 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     """Brute-force profile value: enumerate perfect arcs, refine at the area.
 
     Scans n_s1 slices of s1 over the boundary, finds every s2 root of the two-point
-    function and the area of its arc, and matches roots across neighboring
-    s1 into branches. An arc's complement has the same length and area
-    |Ω| − A, so each branch segment whose end areas straddle the target or
-    |Ω| − target is refined in s1; all of them in one `_refine_on_branch`
-    call. Independent of every closed form in the package.
+    function, the area of its arc and the branch slope ds2/ds1 there, and
+    matches roots across neighboring s1 into branches: each root's offset
+    s2 − s1 is carried to slice i + 1 along its tangent and joined to the
+    nearest root within 3 s1 steps of that prediction (or, failing that, to
+    slice i + 2 within 6 steps), on a padded (slice × root) table. An arc's
+    complement has the same length and area |Ω| − A, so each branch segment
+    whose end areas straddle the target or |Ω| − target is refined in s1;
+    all of them in one `_refine_on_branch` call. Independent of every
+    closed form in the package.
     """
     if n_s1 < 1:
         raise ValueError(f"n_s1 must be at least 1, got {n_s1}")
@@ -420,43 +454,52 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     step = TWO_PI / n_s1
     s1_grid = (np.arange(n_s1) + 0.5) * step
 
-    # per s1 slice: root offsets s2 - s1, arc areas
+    # a padded (slice × root) table of root offsets s2 − s1, arc areas and
+    # predicted offset drifts per unit s1; NaN offsets pad the short slices
     roots = arcsmod.scan_arc_roots(curve, s1_grid)
-    counts = [len(r) for r in roots]
+    counts = np.array([len(r) for r in roots])
+    valid = np.arange(counts.max(initial=1)) < counts[:, None]
     s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
     table = arcsmod.arc_batch(curve, s1_all, s2_all)
     table.raise_first()
-    split = np.cumsum(counts)[:-1]
-    offsets, areas = np.split(s2_all - s1_all, split), np.split(table.area, split)
+    slope = _branch_slope(curve, s1_all, s2_all)
+    offset, area, drift = (np.full(valid.shape, np.nan) for _ in range(3))
+    offset[valid], area[valid] = s2_all - s1_all, table.area
+    # where ∂f/∂s2 = 0 the slope is not finite: predict no drift there
+    drift[valid] = np.where(np.isfinite(slope), slope - 1.0, 0.0)
 
-    # root offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so the
-    # matching radius must scale with the s1 step, not the s2 scan step
+    # match each root to the root nearest its tangent prediction at slice
+    # i + skip; offsets drift at up to |ds2/ds1 - 1| ~ 2 per unit of s1, so
+    # the radius scales with the s1 step, not the s2 scan step
     match_radius = 3.0 * step
-    targets = {target_area, total - target_area}
-    segments = []  # (s1_a, s2_a, s1_b, s2_b, target) straddling a target
-    for i in range(n_s1):
-        s1_a = float(s1_grid[i])
-        for off_a, area_a in zip(offsets[i], areas[i]):
-            for skip in (1, 2):  # bridge one missing slice on a branch
-                j = (i + skip) % n_s1
-                dist = np.abs(offsets[j] - off_a)
-                if np.any(dist < match_radius * skip):
-                    k = int(np.argmin(dist))
-                    break
-            else:
-                continue
-            s1_b, off_b, area_b = s1_a + skip * step, offsets[j][k], areas[j][k]
-            segments += [(s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
-                         for target in targets
-                         if (area_a - target) * (area_b - target) <= 0.0]
-    lengths, failures = np.full(len(segments), np.nan), [None] * len(segments)
-    if segments:
+    partner, skip = np.full(valid.shape, -1), np.zeros(valid.shape, dtype=int)
+    for ahead in (1, 2):  # bridge one missing slice on a branch
+        dist = np.abs(np.roll(offset, -ahead, axis=0)[:, None, :]
+                      - (offset + ahead * step * drift)[..., None])
+        dist[np.isnan(dist)] = np.inf
+        k = np.argmin(dist, axis=2)
+        hit = (partner < 0) & (np.min(dist, axis=2) < match_radius * ahead)
+        partner[hit], skip[hit] = k[hit], ahead
+    i, r = np.nonzero(partner >= 0)
+    j, k = (i + skip[i, r]) % n_s1, partner[i, r]
+    # segments whose end areas straddle a target, ordered by (slice, root)
+    targets = np.array(list({target_area, total - target_area}))
+    seg, which = np.nonzero((area[i, r, None] - targets)
+                            * (area[j, k, None] - targets) <= 0.0)
+    i, r, j, k = i[seg], r[seg], j[seg], k[seg]
+    s1_a = s1_grid[i]
+    s1_b = s1_a + skip[i, r] * step
+    segments = np.array([s1_a, s1_a + offset[i, r], s1_b, s1_b + offset[j, k],
+                         targets[which]])
+    n_seg = segments.shape[1]
+    lengths, failures = np.full(n_seg, np.nan), [None] * n_seg
+    if n_seg:
         try:
-            lengths, failures = _refine_on_branch(curve, *np.transpose(segments))
+            lengths, failures = _refine_on_branch(curve, *segments)
         except NumericalError as exc:
-            failures = [exc] * len(segments)
+            failures = [exc] * n_seg
     failed = Counter()
-    for (s1_a, _, s1_b, _, target), exc in zip(segments, failures):
+    for (s1_a, _, s1_b, _, target), exc in zip(segments.T, failures):
         if exc is not None:
             failed[type(exc).__name__] += 1
             log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "
@@ -466,7 +509,7 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
         causes = "".join(f", {n} {name}" for name, n in sorted(failed.items()))
         raise NoArcAtArea(
             f"no arc family crossed area {target_area}; refine the grid "
-            f"({len(segments)} refinements tried, {sum(failed.values())} "
+            f"({n_seg} refinements tried, {sum(failed.values())} "
             f"failed{causes})")
     return float(np.nanmin(lengths))
 

@@ -462,17 +462,105 @@ def test_oracle_half_area_segments_all_converge(monkeypatch, ellipse_main):
 
 
 def test_oracle_logs_dropped_refinements(caplog):
-    # cos 4u at its critical area: nine straddling segments leave the window
+    # cos 4u at its critical area: at s = 1e-3 two straddling segments join
+    # across a crossing where the scan misses the continuing root, and leave
+    # the window; at 5e-3 none does
     area = pert.find_mode_roots(4)[0].area
-    curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), 1e-3)
-    with caplog.at_level(logging.DEBUG, logger="isoperim"):
-        value = prof.general_profile_oracle(curve, area)
-    assert np.isfinite(value)
-    dropped = [r.getMessage() for r in caplog.records
-               if r.name == "isoperim" and "refinement dropped" in r.getMessage()]
-    assert len(dropped) == 9
+    dropped = {}
+    for s in (1e-3, 5e-3):
+        curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="isoperim"):
+            value = prof.general_profile_oracle(curve, area)
+        assert np.isfinite(value)
+        dropped[s] = [r.getMessage() for r in caplog.records
+                      if r.name == "isoperim" and "refinement dropped" in r.getMessage()]
+    assert len(dropped[1e-3]) == 2 and not dropped[5e-3]
     assert all(m.startswith("refinement dropped: NoArcAtArea on s1 in [")
-               for m in dropped)
+               for m in dropped[1e-3])
+
+
+def match_segments_one_root_at_a_time(curve, target_area, n_s1=prof.N_S1):
+    """Reference for the oracle's array branch matching: a loop over slices
+    and roots that carries each root's offset along its tangent to slice
+    i + 1 (then i + 2) and joins the nearest root within 3 steps per slice."""
+    step = 2.0 * np.pi / n_s1
+    s1_grid = (np.arange(n_s1) + 0.5) * step
+    roots = arcs.scan_arc_roots(curve, s1_grid)
+    counts = [len(r) for r in roots]
+    s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
+    _, g1, g2, w1, w2 = arcs.two_point_eval(curve, s1_all, s2_all)
+    split = np.cumsum(counts)[:-1]
+    offsets, areas, d1, d2 = (np.split(x, split) for x in (
+        s2_all - s1_all, arcs.arc_batch(curve, s1_all, s2_all).area,
+        g1 * w1, g2 * w2))
+    targets = {target_area, curve.area() - target_area}
+    segments = set()
+    for i in range(n_s1):
+        s1_a = float(s1_grid[i])
+        for off_a, area_a, a, b in zip(offsets[i], areas[i], d1[i], d2[i]):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = -a / b
+            drift = slope - 1.0 if np.isfinite(slope) else 0.0
+            for skip in (1, 2):
+                j = (i + skip) % n_s1
+                dist = np.abs(offsets[j] - (off_a + skip * step * drift))
+                if np.any(dist < 3.0 * step * skip):
+                    k = int(np.argmin(dist))
+                    break
+            else:
+                continue
+            s1_b, off_b, area_b = s1_a + skip * step, offsets[j][k], areas[j][k]
+            segments |= {(s1_a, s1_a + off_a, s1_b, s1_b + off_b, target)
+                         for target in targets
+                         if (area_a - target) * (area_b - target) <= 0.0}
+    return segments
+
+
+@pytest.mark.parametrize("name, areas", [
+    ("ellipse", (0.4, HALF_PI)),
+    ("two-mode", (0.05, 0.8)),
+    ("perturbed", (1.0, 1.5)),
+    ("critical cos 4u", (None,)),
+])
+def test_array_matching_equals_the_root_loop(monkeypatch, name, areas,
+                                             ellipse_main, fourier_domain):
+    curve = {"ellipse": ellipse_main, "two-mode": fourier_domain,
+             "perturbed": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(3), 5e-3),
+             "critical cos 4u": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(4), 1e-3)}[name]
+    areas = [pert.find_mode_roots(4)[0].area if a is None else a for a in areas]
+    calls = []
+    refine = prof._refine_on_branch
+    monkeypatch.setattr(prof, "_refine_on_branch",
+                        lambda *args: calls.append(args) or refine(*args))
+    for a in areas:
+        prof.general_profile_oracle(curve, a)
+    assert len(calls) == len(areas)
+    for a, (_, *segments) in zip(areas, calls):
+        got = [tuple(map(float, seg)) for seg in zip(*segments)]
+        assert len(got) == len(set(got)) > 1
+        assert set(got) == match_segments_one_root_at_a_time(curve, a)
+
+
+def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
+    """Boundary evaluations of one oracle call on the critical cos 4u domain.
+
+    Measured: 149 `two_point_eval` calls at s = 1e-3 and 51 at s = 5e-3.
+    The bounds allow 10% over the measurement, for solver steps that
+    rounding moves.
+    """
+    area = pert.find_mode_roots(4)[0].area
+    calls = []
+    evaluate = arcs.two_point_eval
+    monkeypatch.setattr(arcs, "two_point_eval",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    for s, bound in ((1e-3, 164), (5e-3, 56)):
+        curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
+        calls.clear()
+        prof.general_profile_oracle(curve, area)
+        assert len(calls) <= bound
 
 
 def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):
