@@ -309,23 +309,6 @@ def _sample_containment(curve, a_pt, b_pt, alpha):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
-def _cell_roots(fn, s1, grid, vals, xatol: float) -> tuple:
-    """(row, root) for every sign-changing cell of the rows of a scanned grid,
-    vals[i] = fn(grid[i], s1[i]); roots ascend within a row.
-
-    Every bracket is refined in one `invert_monotone_many` solve, the
-    vectorized counterpart of `sign_change_roots`. An exact zero stays at
-    its node.
-    """
-    neg = vals < 0.0
-    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
-    lo, hi = grid[row, col], grid[row, col + 1]
-    x, status = invert_monotone_many(fn, lo, hi, xatol, args=(s1[row],))
-    if np.any(status < -1):
-        raise NoConvergence("vectorized root refinement did not converge")
-    return row, np.where(vals[row, col] == 0.0, lo, x)
-
-
 def _two_point_h(curve: PlaneBoundary, s1, s2):
     """h = (C1 − C2)·(T1 − T2) on 1-D arrays: f's genuine zeros, perfect
     chords included, without its zero at anti-parallel normals."""
@@ -342,8 +325,9 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     (`_two_point_h`) over N uniform boundary nodes that hold every s1,
     s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at or above
     n_scan (576 for 96 slices). One `curve.sample` gives h on every node
-    pair; each slice scans the other N − 1 nodes in turn, and every sign
-    change is refined in one `_cell_roots` solve.
+    pair; each slice scans the other N − 1 nodes in turn, and the brackets
+    of every sign-changing cell are refined in one `invert_monotone_many`
+    solve. An exact zero at a node stays there.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -366,8 +350,14 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     vals += np.einsum("kd,kdc->kc", t[at], turn(p))
     np.subtract(turn(a), vals, out=vals)
     vals += a[at, None]
-    row, roots = _cell_roots(lambda x, s: _two_point_h(curve, s, x), s1_arr,
-                             turn(nodes, TWO_PI), vals, 1e-13)
+    neg, grid = vals < 0.0, turn(nodes, TWO_PI)
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
+    lo, hi = grid[row, col], grid[row, col + 1]
+    x, status = invert_monotone_many(lambda x, s: _two_point_h(curve, s, x),
+                                     lo, hi, 1e-13, args=(s1_arr[row],))
+    if np.any(status < -1):
+        raise NoConvergence("vectorized root refinement did not converge")
+    roots = np.where(vals[row, col] == 0.0, lo, x)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
@@ -389,12 +379,13 @@ def is_circle(curve: PlaneBoundary) -> bool:
 # continuation
 # --------------------------------------------------------------------------
 
-def _correct_s2(curve: PlaneBoundary, s1, s2_guess, bracket_halfwidth):
-    """Newton on s2 holding f(s1, ·) = 0, bracketing scan as fallback.
+def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
+    """Newton on s2 holding f(s1, ·) = 0.
 
-    s1, s2_guess and bracket_halfwidth broadcast; each element stops on its
-    own. An array call returns NaN where an element fails; a scalar call
-    returns a float and raises instead.
+    s1 and s2_guess broadcast, and each element stops on its own. Returns
+    an array of their broadcast shape, NaN where an element fails: |f| is
+    still above NEWTON_F_TOL after NEWTON_MAX_ITER steps, or s2 meets s1
+    mod 2π, where f vanishes without an arc.
 
     Convergence is judged on the Newton step, not only on |f|: near a vertex
     ∂f/∂s2 scales like the cube of the endpoint offset, so a fixed |f| floor
@@ -403,10 +394,9 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess, bracket_halfwidth):
     NEWTON_F_TOL and the step no longer shrinks: f then only random-walks
     at its rounding floor.
     """
-    s1_b, guess, half = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (s1, s2_guess, bracket_halfwidth)))
-    s1_v, guess, half = s1_b.ravel(), guess.ravel(), half.ravel()
-    s2 = guess.copy()
+    s1_b, guess = np.broadcast_arrays(np.asarray(s1, dtype=float),
+                                      np.asarray(s2_guess, dtype=float))
+    s1_v, s2 = s1_b.ravel(), guess.ravel().copy()
     best_f, best_s2 = np.full(s2.shape, np.inf), s2.copy()
     prev_step = np.full(s2.shape, np.inf)
     last = np.zeros(s2.shape, dtype=bool)   # evaluate once more, then stop
@@ -432,22 +422,7 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess, bracket_halfwidth):
         last[go] = prev_step[go] < 1e-14 * np.maximum(1.0, np.abs(s2[go]))
         active[idx[stop]] = False
     out = np.where((best_f < NEWTON_F_TOL) & ~coincident, best_s2, np.nan)
-    # bracketing scan around the prediction; the first root wins
-    fb = np.flatnonzero(np.isnan(out) & ~coincident)
-    if fb.size:
-        grid = guess[fb, None] + np.linspace(-half[fb], half[fb], 41, axis=1)
-        vals = two_point_f_many(curve, s1_v[fb, None], grid)
-        row, roots = _cell_roots(lambda x, s: two_point_f_many(curve, s, x),
-                                 s1_v[fb], grid, vals, 1e-14)
-        first, at = np.unique(row, return_index=True)
-        out[fb[first]] = roots[at]
-    if s1_b.ndim:
-        return out.reshape(s1_b.shape)
-    if coincident[0]:
-        raise CoincidentPoints(f"s1 = s2 = {float(s1_v[0])} mod 2pi")
-    if np.isnan(out[0]):
-        raise NoConvergence(f"corrector failed at s1={float(s1_v[0]):.6f}")
-    return float(out[0])
+    return out.reshape(s1_b.shape)
 
 
 def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
@@ -476,8 +451,10 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
             break  # degenerate: stop early
         s1_next = s1 + ds
         slope = -g1 / g2 if abs(g2) > 1e-12 else 0.0
-        s2_next = _correct_s2(curve, s1_next, s2 + slope * ds, 5.0 * abs(ds))
-        s1, s2 = s1_next, s2_next
+        s2_next = _correct_s2(curve, s1_next, s2 + slope * ds)
+        if np.isnan(s2_next):
+            raise NoConvergence(f"corrector failed at s1={s1_next:.6f}")
+        s1, s2 = s1_next, float(s2_next)
         sep = (s2 - s1) % TWO_PI
         if min(sep, TWO_PI - sep) < abs(ds) / 2.0:
             break  # family collapsed to a point
@@ -527,14 +504,17 @@ def _vertex_partners(curve: SupportCurve, vertex_theta: float,
     if abs(k_ss) < 1e-8:
         raise DegenerateVertex(f"kappa'' = {k_ss:.3e} at the vertex")
     a2 = -k_sss / (5.0 * k_ss)
-    pairs = []
-    for s1 in offsets:
-        if s1 <= 0.0:
-            raise ValueError("s1 offsets must be positive")
-        t1 = curve.theta_at_arclength(vertex_theta, s1)
-        t2 = curve.theta_at_arclength(vertex_theta, -s1 + a2 * s1 * s1)
-        pairs.append((t1, _correct_s2(curve, t1, t2, 0.5 * s1)))
-    return pairs
+    s1 = np.asarray(offsets, dtype=float)
+    if np.any(s1 <= 0.0):
+        raise ValueError("s1 offsets must be positive")
+    t1 = curve.theta_at_arclength(vertex_theta, s1)
+    t2 = _correct_s2(curve, t1,
+                     curve.theta_at_arclength(vertex_theta, -s1 + a2 * s1 * s1))
+    failed = np.flatnonzero(np.isnan(t2))
+    if failed.size:
+        raise NoConvergence(f"corrector failed at vertex offset "
+                            f"s1={s1[failed[0]]:.6g}")
+    return list(zip(t1.tolist(), t2.tolist()))
 
 
 def vertex_family(curve: SupportCurve, vertex_theta: float,

@@ -66,12 +66,10 @@ def _load_domain(args) -> SupportCurve:
             if a is None or b is None:
                 raise ValueError("ellipse preset needs --a and --b")
             spec = {"preset": "ellipse", "params": {"a": a, "b": b}}
-        elif preset == "disk":
+        else:  # argparse's choices leave only "disk"
             radius = getattr(args, "radius", None)
             spec = {"preset": "disk",
                     "params": {"radius": radius if radius is not None else 1.0}}
-        else:
-            raise ValueError(f"unknown preset {preset!r}")
     if spec is None:
         raise ValueError("no domain given: use --preset or --spec")
     return domain_from_spec(spec)

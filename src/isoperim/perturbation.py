@@ -46,6 +46,8 @@ class PerturbationField:
         """cos(nu), or sin(nu) for phase="sin"."""
         if n < 1:
             raise ValueError("mode index must be >= 1")
+        if phase not in ("cos", "sin"):
+            raise ValueError(f"phase must be 'cos' or 'sin', got {phase!r}")
         coeffs = (0.0,) * (n - 1) + (1.0,)
         if phase == "cos":
             return PerturbationField(coeffs, ())
@@ -245,10 +247,10 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     if not 0.0 < area < np.pi:
         raise OutOfRange(f"target area must lie in (0, pi), got {area}")
     s_values = (0.0,) + tuple(float(s) for s in config.s_grid)
-    if len(s_values) < 4:
-        raise FitIllConditioned("need at least three nonzero s values")
     if not all(s > 0.0 for s in s_values[1:]):
         raise FitIllConditioned(f"s values must be positive, got {s_values[1:]}")
+    if len(set(s_values[1:])) < 3:
+        raise FitIllConditioned("need at least three distinct nonzero s values")
     if config.n_s1 < 1:
         raise ValueError(f"n_s1 must be at least 1, got {config.n_s1}")
     builder = domain_builder or (lambda s: build_perturbed_domain(f, s))

@@ -35,8 +35,8 @@ from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetri
 from .trig import TrigSeries
 
 HALF_PI = np.pi / 2.0
-# the refinement's corrector bracket: the partner s2 stays this close to the
-# partner interpolated along the branch segment
+# the refinement's window: the corrected partner s2 stays this close to its
+# seed interpolated along the branch segment
 BRANCH_HALFWIDTH = 0.2
 # s1 slices of the oracle's root scan
 N_S1 = 96
@@ -373,9 +373,9 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
         """(area, length) at s1 per lane; a failed lane is recorded and reads
         as a root, so that the solver retires it."""
         seed = seed_at(s1, lane)
-        s2 = arcsmod._correct_s2(curve, s1, seed, BRANCH_HALFWIDTH)
+        s2 = arcsmod._correct_s2(curve, s1, seed)
         lo, hi = np.fmin(s1, s2), np.fmax(s1, s2)
-        # a partner outside the corrector's bracket has jumped to another branch
+        # a partner that left the window has jumped to another branch
         inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
                   & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
         arc = arcsmod.arc_batch(curve, lo[inside], hi[inside])

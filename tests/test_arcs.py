@@ -507,20 +507,23 @@ def test_scan_refuses_uneven_slices(ellipse_main):
         arcs.scan_arc_roots(ellipse_main, [0.3, 1.0])
 
 
-def test_corrector_scan_fallback_recovers_scan_roots(monkeypatch, fourier_domain):
-    # no Newton step: every correction goes through the bracketing scan
-    monkeypatch.setattr(arcs, "NEWTON_MAX_ITER", 0)
-    for s1 in (0.3, 1.0):
-        for root in arcs.scan_arc_roots(fourier_domain, s1):
-            got = arcs._correct_s2(fourier_domain, s1, root + 0.05, 0.2)
-            assert got == pytest.approx(root, abs=1e-12)
-    with pytest.raises(NoConvergence):
-        arcs._correct_s2(fourier_domain, 0.3, 0.3 + np.pi / 2.0, 0.1)
-    # the array form marks the failed element NaN instead of raising
+def test_corrector_marks_failed_elements_nan(monkeypatch, fourier_domain):
     root = arcs.scan_arc_roots(fourier_domain, 0.3)[0]
-    got = arcs._correct_s2(fourier_domain, 0.3, [root + 0.05, 0.3 + np.pi / 2.0],
-                           [0.2, 0.1])
+    got = arcs._correct_s2(fourier_domain, 0.3, root + 0.05)
+    assert got.shape == () and got == pytest.approx(root, abs=1e-12)
+    # the coincidence guard: f vanishes at s2 = s1 mod 2pi, where no arc is
+    got = arcs._correct_s2(fourier_domain, 0.3, [root + 0.05, 0.3 + TWO_PI])
     assert got[0] == pytest.approx(root, abs=1e-12) and np.isnan(got[1])
+    # no Newton step: no element converges, and every caller refuses
+    seed = arcs.two_point_state(fourier_domain, 0.3, root)
+    monkeypatch.setattr(arcs, "NEWTON_MAX_ITER", 0)
+    assert np.isnan(arcs._correct_s2(fourier_domain, 0.3, root))
+    with pytest.raises(NoConvergence, match="offset s1=0.05"):
+        arcs.vertex_family(fourier_domain, 0.0, [0.15, 0.05])
+    with pytest.raises(NoConvergence):
+        arcs.vertex_partner_offset(fourier_domain, 0.0, 0.1)
+    with pytest.raises(NoConvergence, match="corrector failed"):
+        arcs.continue_family(fourier_domain, seed, steps=3, ds=0.05)
 
 
 def test_corrector_stops_at_rounding_floor(monkeypatch):
@@ -540,13 +543,13 @@ def test_corrector_stops_at_rounding_floor(monkeypatch):
     monkeypatch.setattr(arcs, "two_point_eval", counted)
     for offset in (0.0, 1e-4, -1e-3, 1e-2):
         calls.clear()
-        s2 = arcs._correct_s2(curve, s1, partner + offset, 0.2)
+        s2 = arcs._correct_s2(curve, s1, partner + offset)
         assert len(calls) <= 15 < arcs.NEWTON_MAX_ITER
         assert abs(real_eval(curve, s1, s2)[0]) < arcs.NEWTON_F_TOL
     # the array form stops each element on its own
     calls.clear()
     offsets = np.array([0.0, 1e-4, -1e-3, 1e-2])
-    got = arcs._correct_s2(curve, np.full(4, s1), partner + offsets, 0.2)
+    got = arcs._correct_s2(curve, np.full(4, s1), partner + offsets)
     assert got.shape == (4,) and len(calls) <= 15
     assert np.all(np.abs(real_eval(curve, s1, got)[0]) < arcs.NEWTON_F_TOL)
 

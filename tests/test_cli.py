@@ -46,6 +46,8 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
                  ["domain-info", "--spec-json", '{"support_cos": [NaN]}'],
                  ["domain-info", "--preset", "ellipse", "--a", "nan", "--b", "1"],
                  ["domain-info", "--preset", "disk", "--radius", "nan"],
+                 ["domain-info", "--preset", "ellipse", "--a", "2"],
+                 ["domain-info", "--preset", "circle"],
                  ["arcs-find", "--preset", "disk", "--s1", "nan"],
                  ["implicit-curve", "--xmax", "nan"],
                  ["implicit-curve", "--ymin", "inf"]):
@@ -194,11 +196,13 @@ def test_flags_override_spec_file(tmp_path, capsys):
     spec.write_text(
         '{"preset": "ellipse", "params": {"a": 2.0, "b": 1.0}}',
         encoding="utf-8")
-    code, out, _ = run_cli(
-        ["domain-info", "--spec", str(spec), "--preset", "ellipse",
-         "--a", str(SQRT2), "--b", str(1.0 / SQRT2)], capsys)
-    assert code == 0
-    assert json.loads(out)["area"] == pytest.approx(np.pi, abs=1e-9)
+    # --a alone keeps the spec file's b
+    for flags in (["--a", str(SQRT2), "--b", str(1.0 / SQRT2)], ["--a", "1"]):
+        code, out, _ = run_cli(
+            ["domain-info", "--spec", str(spec), "--preset", "ellipse", *flags],
+            capsys)
+        assert code == 0
+        assert json.loads(out)["area"] == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_experiment_cli_grid_reaches_oracle(monkeypatch, capsys):

@@ -227,6 +227,12 @@ def test_translated_disk_is_rigid():
     assert np.allclose(np.hypot(pos[:, 0], pos[:, 1]), 1.0, atol=1e-12)
 
 
+def test_mode_refuses_unknown_phase():
+    assert pert.PerturbationField.mode(2, "sin").fourier_sin == (0.0, 1.0)
+    with pytest.raises(ValueError, match="phase"):
+        pert.PerturbationField.mode(2, "cosine")
+
+
 # --- aggregate second variation ------------------------------------------------------
 
 def test_aggregate_second_variation_values():
@@ -268,6 +274,14 @@ def test_experiment_refuses_nonpositive_s(s_grid):
     with pytest.raises(FitIllConditioned, match="positive"):
         pert.profile_decrease_experiment(pert.PerturbationField.mode(2), 1.0,
                                          pert.ExperimentConfig(s_grid=s_grid))
+
+
+def test_experiment_refuses_repeated_s():
+    # three equal s values leave the quadratic fit rank-deficient
+    with pytest.raises(FitIllConditioned, match="three distinct"):
+        pert.profile_decrease_experiment(
+            pert.PerturbationField.mode(2), 1.0,
+            pert.ExperimentConfig(s_grid=(1e-3,) * 3, n_s1=48))
 
 
 def test_experiment_refuses_empty_slicing():

@@ -314,7 +314,7 @@ def refine_one(curve, s1_a, s2_a, s1_b, s2_b, target):
     """Reference: one segment at a time, Brent's method on the corrected arc."""
     def arc_at(s1):
         s2_seed = np.interp(s1, (s1_a, s1_b), (s2_a, s2_b))
-        s2 = arcs._correct_s2(curve, s1, s2_seed, 0.2)
+        s2 = arcs._correct_s2(curve, s1, s2_seed)
         lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
         if not 0.0 < hi - lo < 2.0 * np.pi:
             raise NoArcAtArea("branch left the parameter window")
@@ -381,8 +381,8 @@ def test_refinement_records_corrector_failure_lane(monkeypatch, ellipse_main):
     def patch(monkeypatch, lo, hi):
         correct = arcs._correct_s2
 
-        def failing(curve, s1, seed, half):
-            s2 = correct(curve, s1, seed, half)
+        def failing(curve, s1, seed):
+            s2 = correct(curve, s1, seed)
             return np.where((s1 >= lo) & (s1 <= hi), np.nan, s2)
         monkeypatch.setattr(arcs, "_correct_s2", failing)
 

@@ -1,0 +1,38 @@
+"""Smoke test of the scripts in scripts/, run in-process with small arguments."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts prepend src/
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    run_script(monkeypatch, "run_conjecture_suite.py", "--samples", "32",
+               "--out", str(suite))
+    reports = json.loads(suite.read_text(encoding="utf-8"))
+    assert len(reports) == 5 and all(r["passed"] for r in reports.values())
+
+    tables = tmp_path / "tables"
+    run_script(monkeypatch, "export_profile_tables.py", "--samples", "16",
+               "--outdir", str(tables))
+    assert sorted(p.name for p in tables.iterdir()) == [
+        "mode_condition_zero_set.csv", "profile_disk.csv",
+        "profile_ellipse_sqrt2.csv", "profile_fourier_domain.csv"]
+
+    runs = tmp_path / "dichotomy.json"
+    run_script(monkeypatch, "run_dichotomy_experiment.py", "--out", str(runs))
+    verdicts = {k: r["verdict"]
+                for k, r in json.loads(runs.read_text(encoding="utf-8")).items()}
+    assert verdicts == {"cos2u_first_order": "first_order_decrease",
+                        "cos4u_second_order": "second_order_decrease",
+                        "translation_control": "no_decrease"}
+    assert "wrote" in capsys.readouterr().out
