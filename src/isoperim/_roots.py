@@ -3,17 +3,17 @@
 Every inversion of a monotone map goes through `invert_monotone_many`, which
 solves many brackets at once with Chandrupatla's method
 (doi:10.1016/s0965-9978(96)00051-8): a numpy loop with scipy `find_root`'s
-iterates, without its bookkeeping. `sign_change_roots` refines the few roots
-of a scanned grid with Brent's method (scipy `brentq`), which is cheaper than
-the array loop for a handful of scalar brackets.
+iterates, without its bookkeeping. `sign_change_roots` refines every
+sign-changing cell of a scanned grid in one such solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
-XRTOL = 4.0 * np.finfo(float).eps  # brentq's default rtol
+from .errors import NoConvergence
+
+XRTOL = 4.0 * np.finfo(float).eps  # relative x tolerance, as in scipy's solvers
 # find_root's cap: the bisections from the largest to the smallest normal float
 MAX_ITER = 2046
 
@@ -33,8 +33,9 @@ def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
                                         np.asarray(hi, dtype=float), *args)
     shape, lane = lo.shape, np.arange(lo.size)
     lo, hi, args = lo.ravel(), hi.ravel(), [a.ravel() for a in args]
-    f_lo, f_hi = np.split(np.asarray(fn(np.concatenate([lo, hi]),
-                                        *(np.tile(a, 2) for a in args)), dtype=float), 2)
+    f = np.asarray(fn(np.concatenate([lo, hi]), *(np.concatenate([a, a]) for a in args)),
+                   dtype=float)
+    f_lo, f_hi = f[:lo.size], f[lo.size:]
     x, status = np.empty(lo.size), np.empty(lo.size, dtype=int)
     x1, f1, x2, f2, x3, f3, t = lo, f_lo, hi, f_hi, lo, f_lo, 0.5
     # find_root's |f| floor; its frtol = 0 term makes it NaN, so never met, where
@@ -59,8 +60,9 @@ def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
         status[lane], keep = code, code == -2
         if it == MAX_ITER or not keep.any():
             break
-        lane, x1, f1, x2, f2, x3, f3, ftol, dx, tol, *args = (
-            v[keep] for v in (lane, x1, f1, x2, f2, x3, f3, ftol, dx, tol, *args))
+        if not keep.all():
+            lane, x1, f1, x2, f2, x3, f3, ftol, dx, tol, *args = (
+                v[keep] for v in (lane, x1, f1, x2, f2, x3, f3, ftol, dx, tol, *args))
         if it:  # the first step bisects
             with np.errstate(all="ignore"):
                 xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
@@ -71,28 +73,24 @@ def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
             tl = 0.5 * tol / dx
             t = np.clip(t, tl, 1 - tl)
     ends = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    x = np.select([status == -1, status == -3], [ends, np.nan], x)
+    x = np.where(status == -1, ends, np.where(status == -3, np.nan, x))
     return x.reshape(shape), status.reshape(shape)
 
 
-def sign_change_roots(fn, grid, vals, xtol: float) -> list:
-    """One root per sign-changing cell of a scanned grid (vals = fn(grid)).
+def sign_change_roots(fn, grid, vals, xtol: float) -> tuple:
+    """One root per sign-changing cell of every row of a scanned 2-D grid
+    (rows × nodes, vals = fn on grid), all refined in one
+    `invert_monotone_many` solve; fn(x, row) gets each lane's row index.
 
-    An exact zero is kept at its node; every other root is refined by one
-    `brentq` call on its cell.
+    Returns (row, root) arrays, in row and then grid order. An exact zero is
+    kept at its node; a cell whose own end values share a sign where the
+    scan's did not gives the end with the smaller |fn|.
     """
-    grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
+    vals = np.asarray(vals, dtype=float)
     neg = vals < 0.0
-    roots = []
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (neg[:-1] != neg[1:])):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        try:
-            roots.append(float(brentq(fn, grid[i], grid[i + 1], xtol=xtol)))
-        except ValueError:
-            # fn's own endpoint values share a sign where the scan's did not:
-            # the root lies on a node to rounding
-            roots.append(float(grid[i] if abs(vals[i]) <= abs(vals[i + 1])
-                               else grid[i + 1]))
-    return roots
+    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
+    lo, hi = grid[row, col], grid[row, col + 1]
+    x, status = invert_monotone_many(fn, lo, hi, xtol, args=(row,))
+    if np.any(status < -1):
+        raise NoConvergence("vectorized root refinement did not converge")
+    return row, np.where(vals[row, col] == 0.0, lo, x)

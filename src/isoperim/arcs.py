@@ -24,9 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# before disk, else a full gc lands inside scipy's import and set-up slows
-from ._roots import invert_monotone_many
 from . import disk as diskmod
+from ._roots import sign_change_roots
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
                      NotPerfect)
@@ -325,9 +324,8 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     (`_two_point_h`) over N uniform boundary nodes that hold every s1,
     s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at or above
     n_scan (576 for 96 slices). One `curve.sample` gives h on every node
-    pair; each slice scans the other N − 1 nodes in turn, and the brackets
-    of every sign-changing cell are refined in one `invert_monotone_many`
-    solve. An exact zero at a node stays there.
+    pair; each slice scans the other N − 1 nodes in turn, and
+    `sign_change_roots` refines every sign-changing cell.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -350,14 +348,8 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     vals += np.einsum("kd,kdc->kc", t[at], turn(p))
     np.subtract(turn(a), vals, out=vals)
     vals += a[at, None]
-    neg, grid = vals < 0.0, turn(nodes, TWO_PI)
-    row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
-    lo, hi = grid[row, col], grid[row, col + 1]
-    x, status = invert_monotone_many(lambda x, s: _two_point_h(curve, s, x),
-                                     lo, hi, 1e-13, args=(s1_arr[row],))
-    if np.any(status < -1):
-        raise NoConvergence("vectorized root refinement did not converge")
-    roots = np.where(vals[row, col] == 0.0, lo, x)
+    row, roots = sign_change_roots(lambda x, k: _two_point_h(curve, s1_arr[k], x),
+                                   turn(nodes, TWO_PI), vals, 1e-13)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)

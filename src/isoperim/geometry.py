@@ -357,21 +357,19 @@ def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
 
 
 def find_vertices(curve: SupportCurve):
-    """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan + Brent."""
+    """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan, refined by
+    `sign_change_roots`; sorted, in (−1e-6, 2π − 1e-6]."""
     rho1 = curve.rho_series.derivative()
-    t = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
     vals = TrigSeries.on_grid(SCAN_NODES, rho1)[0]
     # close the periodic scan so the cell that wraps past 2π is searched too
-    roots = sign_change_roots(rho1, np.append(t, TWO_PI),
-                              np.append(vals, vals[0]), 1e-12)
-    # dedupe near-identical roots (including wrap-around)
-    uniq = []
-    wrapped = sorted((x % TWO_PI) - (TWO_PI if (x % TWO_PI) > TWO_PI - 1e-6 else 0.0)
-                     for x in roots)
-    for r in wrapped:
-        if all(min(abs(r - u), TWO_PI - abs(r - u)) > 1e-9 for u in uniq):
-            uniq.append(r)
-    return uniq
+    _, x = sign_change_roots(lambda x, _: rho1(x),
+                             np.linspace(0.0, TWO_PI, SCAN_NODES + 1)[None],
+                             np.append(vals, vals[0])[None], 1e-12)
+    x = np.mod(x, TWO_PI)
+    x = np.sort(np.where(x > TWO_PI - 1e-6, x - TWO_PI, x))
+    # dedupe near-identical roots, the first one included across the wrap
+    keep = (np.diff(x, prepend=-np.inf) > 1e-9) & (x - x[:1] < TWO_PI - 1e-9)
+    return x[keep].tolist()
 
 
 def classify(curve: SupportCurve) -> DomainClassReport:
@@ -428,6 +426,8 @@ def domain_from_spec(spec: dict) -> SupportCurve:
         raise ValueError("domain spec must be a JSON object")
     if "preset" in spec:
         params = spec.get("params", {}) or {}
+        if not isinstance(params, dict):
+            raise ValueError("params must be a JSON object")
         preset = spec["preset"]
         if preset == "disk":
             return SupportCurve.disk(float(params.get("radius", 1.0)))
@@ -437,6 +437,10 @@ def domain_from_spec(spec: dict) -> SupportCurve:
             return SupportCurve.ellipse(float(params["a"]), float(params["b"]))
         raise ValueError(f"unknown preset {preset!r}")
     if "support_cos" in spec:
-        return SupportCurve(tuple(spec["support_cos"]),
-                            tuple(spec.get("support_sin", ())))
+        coeffs = [spec["support_cos"], spec.get("support_sin", [])]
+        if not all(isinstance(c, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in c)
+                for c in coeffs):
+            raise ValueError("support_cos and support_sin must be lists of numbers")
+        return SupportCurve(*map(tuple, coeffs))
     raise ValueError("domain spec needs 'preset' or 'support_cos'")

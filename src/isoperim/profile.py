@@ -22,9 +22,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from . import arcs as arcsmod
 from . import disk as diskmod
@@ -146,11 +143,24 @@ def _family_area_quadrature(curve: SupportCurve, theta_grid):
     rho_end = float(curve.rho_series(HALF_PI))
     integrand[t < 0.5 * (HALF_PI / n_fine)] = \
         y_end * (2.0 * rho_end - 2.0 * y_end / 3.0)
-    cum = cumulative_simpson(integrand, x=t, initial=0.0)
-    total = float(cum[-1])
-    # A(theta) integrates from the vertex: A = total − ∫_0^{pi/2-theta}
+    # cumulative Simpson: cells 2i and 2i + 1 each integrate the parabola
+    # through nodes 2i, 2i + 1 and 2i + 2
+    f0, f1, f2 = integrand[:-2:2], integrand[1::2], integrand[2::2]
+    cells = np.stack([5.0 * f0 + 8.0 * f1 - f2, 5.0 * f2 + 8.0 * f1 - f0], axis=1)
+    cum = np.append(0.0, np.cumsum(cells.ravel() * (t[1] / 12.0)))
+    # A(theta) integrates from the vertex: A = ∫_0^{pi/2} − ∫_0^{pi/2-theta}
     offsets = HALF_PI - np.asarray(theta_grid, dtype=float)
-    return total - PchipInterpolator(t, cum)(offsets)
+    return cum[-1] - _hermite(t, cum, integrand, offsets)[0]
+
+
+def _hermite(x, y, dydx, xq) -> tuple:
+    """The cubic Hermite interpolant of values y and slopes dydx on the
+    increasing knots x, at xq: (value, slope)."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    h, m0, m1 = x[i + 1] - x[i], dydx[i], dydx[i + 1]
+    u, d = (xq - x[i]) / h, (y[i + 1] - y[i]) / h
+    c2, c3 = 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
+    return y[i] + h * u * (m0 + u * (c2 + u * c3)), m0 + u * (2.0 * c2 + 3.0 * u * c3)
 
 
 def symmetric_profile(curve: SupportCurve, n_samples: int = 256) -> ProfileTable:
@@ -249,25 +259,30 @@ def conjecture_check(curve: SupportCurve, n_samples: int = 256) -> ConjectureRep
     j = int(np.argmax(table.area >= AREA_FLOOR))
     if table.area[j] < AREA_FLOOR:
         raise NumericalError("area floor exceeds the sampled range")
-    a_samp, l_of_a = table.area[j:], PchipInterpolator(table.area, table.length)
+    a_samp = table.area[j:]
     # the disk's half-angles at the sampled areas and at the floor, one solve
     theta_disk = diskmod.area_to_theta(
         np.append(np.minimum(a_samp, np.pi - a_samp), AREA_FLOOR))
-    i = int(np.argmax(l_of_a(a_samp) / diskmod.theta_to_length(theta_disk[:-1])))
+    i = int(np.argmax(table.length[j:] / diskmod.theta_to_length(theta_disk[:-1])))
     near = np.clip([i - 1, i + 1], 0, len(a_samp) - 1)
-    # the interpolated ratio's maximum between the neighbours, sought in the
-    # disk's half-angle θ*, where A* and L* are closed form
-    res = minimize_scalar(lambda th: -float(l_of_a(diskmod.theta_to_area(th)))
-                          / diskmod.theta_to_length(th), bounds=tuple(theta_disk[near]),
-                          method="bounded", options={"xatol": 1e-12})
-    a_star = diskmod.theta_to_area(float(res.x))
+
+    def slope(th):
+        """L*² d(L/L*)/dA at the disk's half-angle th, where A*, L* and
+        dL*/dA = k* are closed form; L(A) is Hermite with dL/dA = k."""
+        length, dl = _hermite(table.area, table.length, table.arc_curvature,
+                              diskmod.theta_to_area(th))
+        return dl * diskmod.theta_to_length(th) - length * diskmod.theta_to_curvature(th)
+
+    # the interpolated ratio's maximum between the neighbours, sought in θ*
+    th_max = float(invert_monotone_many(slope, *theta_disk[near], 1e-12)[0])
+    a_star = diskmod.theta_to_area(th_max)
     # the family at a_star and at the floor, each bracketed by its table rows
     lo = [table.theta[j + near[0]], table.theta[j - 1] if j else 1e-9]
     theta_fam = _family_theta(curve, np.array([a_star, AREA_FLOOR]), lo,
                               [table.theta[j + near[1]], table.theta[j]])
     # exact ratios of the candidates: best sample, interpolated maximum, floor
     theta_dom = np.array([table.theta[j + i], *theta_fam])
-    theta_star = np.array([theta_disk[i], res.x, theta_disk[-1]])
+    theta_star = np.array([theta_disk[i], th_max, theta_disk[-1]])
     ratio = _family_length(curve, theta_dom) / diskmod.theta_to_length(theta_star)
     k = int(np.argmax(ratio))
     a_max, r_max = float([a_samp[i], a_star, AREA_FLOOR][k]), float(ratio[k])

@@ -44,6 +44,11 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     for args in (["domain-info", "--spec", str(bad)],
                  ["domain-info", "--spec-json", '{"support_cos": [NaN]}'],
+                 ["domain-info", "--spec-json", '{"support_cos": 5}'],
+                 ["domain-info", "--spec-json", '{"support_cos": [1, null]}'],
+                 ["domain-info", "--spec-json",
+                  '{"support_cos": [1], "support_sin": 0.1}'],
+                 ["domain-info", "--spec-json", '{"preset": "disk", "params": [1]}'],
                  ["domain-info", "--preset", "ellipse", "--a", "nan", "--b", "1"],
                  ["domain-info", "--preset", "disk", "--radius", "nan"],
                  ["domain-info", "--preset", "ellipse", "--a", "2"],
@@ -54,6 +59,7 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert not out and err.strip()
+        assert "--spec-json" not in args or err.startswith("config error"), args
 
 
 def test_missing_domain_exits_2(capsys):
@@ -265,3 +271,14 @@ def test_module_entry_point_is_silent():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0 and done.stderr == ""
     assert json.loads(done.stdout)["is_disk"] is True
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only; scipy is a reference for the tests."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, isoperim.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"

@@ -3,15 +3,14 @@ import logging
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from isoperim import arcs, disk
+from isoperim import _roots, arcs, disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
 from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
                              NotNormalized, NotPerfect)
-from isoperim.geometry import SupportCurve
+from isoperim.geometry import SupportCurve, classify
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2.0
@@ -87,6 +86,18 @@ def test_height_gap_dips_once_at_unit_curvature(ellipse_main):
     assert np.all(gap <= 1e-12)  # the minor semi-axis stays below 1
 
 
+def test_hermite_reproduces_a_cubic_and_its_slope():
+    def cubic(x):
+        return 2.0 * x ** 3 - x ** 2 + 3.0 * x - 1.0, 6.0 * x ** 2 - 2.0 * x + 3.0
+
+    knots = np.array([0.0, 0.3, 1.0, 1.25, 2.0])
+    xq = np.linspace(-0.25, 2.25, 41)   # knots, interiors and both ends beyond
+    value, slope = prof._hermite(knots, *cubic(knots), xq)
+    exact_value, exact_slope = cubic(xq)
+    assert np.allclose(value, exact_value, rtol=0.0, atol=1e-13)
+    assert np.allclose(slope, exact_slope, rtol=0.0, atol=1e-13)
+
+
 def test_area_cross_check_runs_tight(ellipse_main):
     # symmetric_profile raises if Green vs dA=(1/k)dL disagree beyond 1e-7;
     # the two routes actually agree an order of magnitude better
@@ -98,8 +109,10 @@ def test_area_cross_check_runs_tight(ellipse_main):
 
 
 def _family_area_quadrature_by_evaluate(curve, theta_grid):
-    """`_family_area_quadrature` as it was before `TrigSeries.on_grid`: the
-    series evaluated at θ = π/2 − t on their cos/sin basis."""
+    """`_family_area_quadrature` by a second route: the series evaluated at
+    θ = π/2 − t on their cos/sin basis instead of `TrigSeries.on_grid`, and
+    cumulated by scipy's Simpson rule instead of the in-house one; both
+    interpolate with the exact-slope Hermite."""
     n_fine = 16384
     t = np.linspace(0.0, HALF_PI, n_fine + 1)
     theta_f = HALF_PI - t
@@ -115,7 +128,7 @@ def _family_area_quadrature_by_evaluate(curve, theta_grid):
         y_end * (2.0 * rho_end - 2.0 * y_end / 3.0)
     cum = cumulative_simpson(integrand, x=t, initial=0.0)
     offsets = HALF_PI - np.asarray(theta_grid, dtype=float)
-    return float(cum[-1]) - PchipInterpolator(t, cum)(offsets)
+    return float(cum[-1]) - prof._hermite(t, cum, integrand, offsets)[0]
 
 
 def test_family_area_quadrature_matches_direct_evaluation(class_a_suite):
@@ -129,11 +142,16 @@ def test_family_area_quadrature_matches_direct_evaluation(class_a_suite):
     curves = [*class_a_suite.values(),
               SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0))]
     for curve in curves:
-        gap = np.abs(prof._family_area_quadrature(curve, theta)
-                     - _family_area_quadrature_by_evaluate(curve, theta))
+        quadrature = prof._family_area_quadrature(curve, theta)
+        gap = np.abs(quadrature - _family_area_quadrature_by_evaluate(curve, theta))
         assert np.max(gap[~end_cell]) <= 1e-12
         y_end = prof._upper_endpoint_height(curve, HALF_PI)
-        assert np.max(gap[end_cell]) <= 12.0 * np.finfo(float).eps * y_end ** 2 / step
+        end_bound = 12.0 * np.finfo(float).eps * y_end ** 2 / step
+        assert np.max(gap[end_cell]) <= end_bound
+        # the exact-slope Hermite leaves the quadrature as close to the Green
+        # areas as that end-cell rounding, at every sample
+        green = arcs.arc_batch(curve, -theta, theta)
+        assert np.max(np.abs(quadrature - green.area)) <= end_bound
 
 
 def test_profile_preconditions(unit_disk, ellipse_main):
@@ -576,7 +594,8 @@ def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):
 def test_oracle_values_equal_the_find_root_solver(monkeypatch, ellipse_main,
                                                   fourier_domain, find_root_solver):
     """The in-house Chandrupatla loop takes scipy `find_root`'s iterates, so
-    the oracle and the experiment give the same floats on either solver."""
+    the oracle, the experiment, the mode roots and the vertices give the same
+    floats on either solver."""
     perturbed = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3)
     cases = [(ellipse_main, 0.4), (ellipse_main, HALF_PI), (fourier_domain, 0.8),
              (perturbed, 1.0), (SupportCurve.disk(1.5), 2.0)]
@@ -586,15 +605,16 @@ def test_oracle_values_equal_the_find_root_solver(monkeypatch, ellipse_main,
     def run():
         return ([prof.general_profile_oracle(c, a) for c, a in cases],
                 pert.profile_decrease_experiment(pert.PerturbationField.mode(2),
-                                                 area, config))
+                                                 area, config),
+                pert.find_mode_roots(12), classify(fourier_domain))
 
     ours, sites = run(), set()
-    for mod in (prof, arcs, disk):
+    for mod in (prof, _roots, disk):
         monkeypatch.setattr(mod, "invert_monotone_many",
                             lambda *a, name=mod.__name__, **k:
                             sites.add(name) or find_root_solver(*a, **k)[:2])
     assert run() == ours
-    assert sites == {prof.__name__, arcs.__name__, disk.__name__}
+    assert sites == {prof.__name__, _roots.__name__, disk.__name__}
 
 
 # --- small-area asymptotics -----------------------------------------------------

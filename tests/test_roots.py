@@ -1,10 +1,14 @@
 """`invert_monotone_many` against scipy's `find_root`, which runs the same
-Chandrupatla iteration inside scipy's elementwise framework."""
+Chandrupatla iteration inside scipy's elementwise framework, and
+`sign_change_roots` against scipy's `brentq` on each cell."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from isoperim._roots import invert_monotone_many
+from isoperim._roots import invert_monotone_many, sign_change_roots
+from isoperim.geometry import SCAN_NODES, TWO_PI, SupportCurve
+from isoperim.trig import TrigSeries
 
 
 @pytest.fixture
@@ -81,3 +85,43 @@ def test_ends_in_one_call_and_no_call_on_a_closed_lane(check):
     for i in lanes:
         assert [i in lane for lane in calls[1:]] == [k < nit[i]
                                                      for k in range(len(calls) - 1)]
+
+
+def test_sign_change_roots_match_brentq():
+    def fn(x, row):
+        return np.where(row == 0, x * (x * x - 2.0), np.cos(3.0 * x))
+
+    # row 0 has an exact zero at the node x = 0 (step 1/8)
+    grid = np.tile(np.linspace(-2.0, 2.0, 33), (2, 1))
+    vals = fn(grid, np.arange(2)[:, None])
+    row, roots = sign_change_roots(fn, grid, vals, 1e-12)
+    sqrt2, pi = np.sqrt(2.0), np.pi
+    assert list(row) == [0, 0, 0, 1, 1, 1, 1]
+    assert np.allclose(roots, [-sqrt2, 0.0, sqrt2, -pi / 2, -pi / 6, pi / 6, pi / 2],
+                       rtol=0.0, atol=1e-12)
+    assert roots[1] == 0.0
+    for k, x in zip(row, roots):
+        i = np.searchsorted(grid[k], x, side="right") - 1
+        if x != grid[k, i]:
+            ref = brentq(fn, grid[k, i], grid[k, i + 1], xtol=1e-12, args=(k,))
+            assert abs(x - ref) <= 1e-12
+
+    # rows without a sign change give no roots
+    row, roots = sign_change_roots(fn, grid[:, 8:25], vals[:, 8:25] ** 2 + 1.0, 1e-12)
+    assert row.size == roots.size == 0
+
+
+def test_sign_change_roots_on_a_cell_the_scan_alone_brackets():
+    """find_vertices' wrap cell on this domain: the FFT scan reads ρ' = 0
+    exactly at 2π, where ρ' itself reads −2.6e-16, so ρ' keeps one sign on
+    the cell; the root is the end with the smaller |ρ'|."""
+    rho1 = SupportCurve((1.0, 0.0, 0.05, 0.0, 0.002)).rho_series.derivative()
+    vals = TrigSeries.on_grid(SCAN_NODES, rho1)[0]
+    grid = np.array([[TWO_PI * (SCAN_NODES - 1) / SCAN_NODES, TWO_PI]])
+    ends = rho1(grid[0])
+    assert vals[-1] < 0.0 == vals[0] and np.all(ends < 0.0)
+    with pytest.raises(ValueError):
+        brentq(rho1, *grid[0], xtol=1e-12)
+    row, roots = sign_change_roots(lambda x, _: rho1(x), grid,
+                                   np.array([[vals[-1], vals[0]]]), 1e-12)
+    assert list(row) == [0] and list(roots) == [TWO_PI]
