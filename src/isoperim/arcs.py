@@ -29,8 +29,8 @@ from ._roots import sign_change_roots
 from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
                      NotPerfect)
-from .geometry import (PlaneBoundary, SupportCurve, TWO_PI, _is_disk_coeffs,
-                       curvature_arclength_derivatives)
+from .geometry import (CurveSamples, PlaneBoundary, SupportCurve, TWO_PI,
+                       _is_disk_coeffs, curvature_arclength_derivatives)
 
 SEGMENT_NORMAL_TOL = 1e-8
 # |f| an endpoint pair may leave, per unit of max(chord, 1), and still be perfect
@@ -88,10 +88,19 @@ def two_point_eval(curve: PlaneBoundary, s1, s2) -> tuple:
         (a[:s1.size].reshape(s1.shape + a.shape[1:]),
          a[s1.size:].reshape(s2.shape + a.shape[1:]))
         for a in (s.position, s.tangent, s.normal, s.curvature, s.speed))
-    dot = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    return (*_two_point_terms(c1, c2, t1, t2, n1, n2, k1, k2), w1, w2)
+
+
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _two_point_terms(c1, c2, t1, t2, n1, n2, k1, k2) -> tuple:
+    """(f, ∂f/∂s1, ∂f/∂s2) from the sampled points, tangents, normals and
+    curvatures at both ends (see `two_point_eval`)."""
     dc = c1 - c2
-    return (dot(dc, n1 + n2), dot(t1, n2) + k1 * dot(dc, t1),
-            -dot(t2, n1) + k2 * dot(dc, t2), w1, w2)
+    return (_dot(dc, n1 + n2), _dot(t1, n2) + k1 * _dot(dc, t1),
+            -_dot(t2, n1) + k2 * _dot(dc, t2))
 
 
 def _require_distinct(s1: float, s2: float):
@@ -154,7 +163,8 @@ ARC_FAILURES = (
 
 
 class ArcBatch(NamedTuple):
-    """`build_arc`'s chord-frame quantities, one element per endpoint pair.
+    """`build_arc`'s chord-frame quantities, one element per endpoint pair,
+    and the boundary sample they came from.
 
     Elements with a nonzero `failure` (an index into ARC_FAILURES) are not
     arcs; their other entries are meaningless.
@@ -173,6 +183,8 @@ class ArcBatch(NamedTuple):
     ortho: np.ndarray       # max |arc tangent · boundary tangent| at the ends
     a_pt: np.ndarray        # shape (n, 2): boundary point at t_lo
     b_pt: np.ndarray
+    turning: np.ndarray     # signed half-turning, kept on segments too
+    sample: CurveSamples    # the boundary at t_lo (first n rows), then t_hi
 
     def error(self, i: int):
         """The exception `build_arc` raises for element i, or None."""
@@ -188,6 +200,35 @@ class ArcBatch(NamedTuple):
         bad = np.flatnonzero(self.failure)
         if bad.size:
             raise self.error(bad[0])
+
+    def pair_partials(self) -> tuple:
+        """Parameter partials of f (`residual`) and of `area` in each end,
+        from the batch's own sample: (∂f/∂t_lo, ∂f/∂t_hi, ∂A/∂t_lo, ∂A/∂t_hi).
+
+        A = base + c²g(τ), with c = |a − b| along ĉ, τ the `turning` and
+        g(τ) = (2τ − sin 2τ)/(8 sin²τ). Per unit of arclength the base
+        (boundary leg and chord) moves by ½(b − a)×T at either end, c by
+        ±ĉ·T, and τ, half the turning of the normal from b to a, by ±κ/2, so
+            ∂A/∂s_lo = ½(b − a)×T_a + 2c·g·(ĉ·T_a) + c²g′(τ)κ_a/2,
+            ∂A/∂s_hi = ½(b − a)×T_b − 2c·g·(ĉ·T_b) − c²g′(τ)κ_b/2,
+        with g′(τ) = ½ − cos τ (2τ − sin 2τ)/(4 sin³τ) → 1/6 + τ²/15 as τ → 0.
+        """
+        s, n = self.sample, len(self.failure)
+        (ta, tb), (ka, kb), (wa, wb) = (
+            (x[:n], x[n:]) for x in (s.tangent, s.curvature, s.speed))
+        _, f_lo, f_hi = _two_point_terms(self.a_pt, self.b_pt, ta, tb,
+                                         s.normal[:n], s.normal[n:], ka, kb)
+        tau, chord = self.turning, self.a_pt - self.b_pt
+        small = np.abs(tau) < 1e-4
+        t = np.where(small, 1.0, tau)  # the series covers the 0/0 at τ = 0
+        u, sin_t = _two_alpha_minus_sin(2.0 * t), np.sin(t)
+        g = np.where(small, tau / 6.0 + tau ** 3 / 45.0, u / (8.0 * sin_t ** 2))
+        dg = np.where(small, 1.0 / 6.0 + tau ** 2 / 15.0,
+                      0.5 - np.cos(t) * u / (4.0 * sin_t ** 3))
+        bend = 0.5 * self.chord_len ** 2 * dg
+        a_lo = -0.5 * _cross(chord, ta) + 2.0 * g * _dot(chord, ta) + bend * ka
+        a_hi = -0.5 * _cross(chord, tb) - 2.0 * g * _dot(chord, tb) - bend * kb
+        return f_lo * wa, f_hi * wb, a_lo * wa, a_hi * wb
 
 
 def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
@@ -250,7 +291,8 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
             np.abs(np.cos(ang_a) * ta[:, 0] + np.sin(ang_a) * ta[:, 1]),
             np.abs(np.cos(ang_b) * tb[:, 0] + np.sin(ang_b) * tb[:, 1]))
     return ArcBatch(failure, segment, residual, mismatch, alpha, chord_len,
-                    chord_ang, curvature, length, area, ortho, a_pt, b_pt)
+                    chord_ang, curvature, length, area, ortho, a_pt, b_pt,
+                    turning, s)
 
 
 def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float) -> PerfectArc:

@@ -424,23 +424,28 @@ def domain_from_spec(spec: dict) -> SupportCurve:
     """
     if not isinstance(spec, dict):
         raise ValueError("domain spec must be a JSON object")
+    is_number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
     if "preset" in spec:
         params = spec.get("params", {}) or {}
         if not isinstance(params, dict):
             raise ValueError("params must be a JSON object")
         preset = spec["preset"]
         if preset == "disk":
-            return SupportCurve.disk(float(params.get("radius", 1.0)))
-        if preset == "ellipse":
+            params = {"radius": 1.0, **params}
+            names, build = ("radius",), SupportCurve.disk
+        elif preset == "ellipse":
             if "a" not in params or "b" not in params:
                 raise ValueError("ellipse preset needs params a and b")
-            return SupportCurve.ellipse(float(params["a"]), float(params["b"]))
-        raise ValueError(f"unknown preset {preset!r}")
+            names, build = ("a", "b"), SupportCurve.ellipse
+        else:
+            raise ValueError(f"unknown preset {preset!r}")
+        for name in names:
+            if not is_number(params[name]):
+                raise ValueError(f"{preset} param {name} must be a number")
+        return build(*(float(params[name]) for name in names))
     if "support_cos" in spec:
         coeffs = [spec["support_cos"], spec.get("support_sin", [])]
-        if not all(isinstance(c, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in c)
-                for c in coeffs):
+        if not all(isinstance(c, list) and all(map(is_number, c)) for c in coeffs):
             raise ValueError("support_cos and support_sin must be lists of numbers")
         return SupportCurve(*map(tuple, coeffs))
     raise ValueError("domain spec needs 'preset' or 'support_cos'")

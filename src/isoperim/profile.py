@@ -25,7 +25,7 @@ import numpy as np
 
 from . import arcs as arcsmod
 from . import disk as diskmod
-from ._roots import XRTOL, invert_monotone_many
+from ._roots import MAX_ITER, XRTOL, invert_monotone_many
 from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
                      NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
@@ -332,70 +332,75 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
     return float(np.min(arcs_at(s1, sweep).length))
 
 
-def _branch_slope(curve, s1, s2):
-    """ds2/ds1 = −(∂f/∂s1·w1)/(∂f/∂s2·w2) along f = 0 at each pair, from one
-    `two_point_eval`; not finite where ∂f/∂s2 = 0."""
-    _, g1, g2, w1, w2 = arcsmod.two_point_eval(curve, s1, s2)
+def _branch_slope(arc, first=True) -> tuple:
+    """Rates along f = 0 through each pair of `arc`, whose lo end is s1 where
+    `first`, from the pair's own boundary sample (`ArcBatch.pair_partials`):
+    the slope ds2/ds1 = −(∂f/∂s1)/(∂f/∂s2), the area's derivative
+    dA/ds1 = ∂A/∂s1 + ∂A/∂s2·ds2/ds1 along the branch, and ∂A/∂f at fixed s1.
+    None is finite where ∂f/∂s2 = 0."""
+    f_lo, f_hi, a_lo, a_hi = arc.pair_partials()
+    f1, f2, a1, a2 = (np.where(first, x, y) for x, y in (
+        (f_lo, f_hi), (f_hi, f_lo), (a_lo, a_hi), (a_hi, a_lo)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -(g1 * w1) / (g2 * w2)
+        slope = -f1 / f2
+        return slope, a1 + a2 * slope, a2 / f2
 
 
 def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     """Lengths of the arcs at `target` area on branch segments whose end
     areas straddle it, one element per segment (the arguments broadcast).
 
-    s2 is seeded by the cubic Hermite interpolant of each segment's end
-    roots and their branch slopes ds2/ds1 (one `two_point_eval` of the 2·n
-    ends), or by the chord between the ends where that interpolant is not
-    finite or strays from the chord by more than BRANCH_HALFWIDTH / 2; the
-    seed depends only on the segment and s1. The seed is corrected onto
-    f = 0, so the area is a function of s1, solved by one
-    `invert_monotone_many` call over every segment: a segment whose end
-    areas lie on one side of the target keeps the end nearer to it. A
-    segment fails at the first s1 where the corrector fails
-    (NoConvergence), the pair leaves the window 0 < hi − lo < 2π or s2
-    moves more than BRANCH_HALFWIDTH from its seed (NoArcAtArea), or
-    `arc_batch` rejects the pair. It
-    also fails (NoArcAtArea) where the solved area misses the target by more
-    than the solve's accuracy: the bracket then closed on a jump in area.
-    Returns (length, failures): NaN length and, in `failures`, the exception
-    of each failed segment; None where it succeeded.
+    One `arc_batch` of the 2·n end pairs gives each end's area, its branch
+    slope ds2/ds1 and the area's derivative dA/ds1 along the branch
+    (`_branch_slope`). On the branch s2 is a function of s1, and so is the
+    area; a safeguarded Newton iteration in s1 solves A(s1, s2(s1)) = target
+    on every segment at once. It starts from the Newton step of the end
+    nearer the target, or from the secant of the ends where that step
+    leaves the segment, and keeps the segment as a bracket: a Newton step
+    that leaves the bracket, or that follows a miss |A − target| which did
+    not halve, becomes a bisection. Each iterate's s2 comes from the
+    corrector, seeded by the tangent predictor from the lane's previous
+    iterate after a Newton step and by the segment's seed (below) after a
+    bisection or at the first iterate; every derivative comes from the
+    iterate's own `arc_batch` sample. A lane stops once its Newton step is
+    below 1e-14 + XRTOL·|s1| (the old solve's s1 accuracy), its bracket is
+    narrower than that, or its miss lies within the area that the
+    corrector's |f| tolerance is worth and the step no longer shrinks. It
+    returns its best iterate (the smallest miss). A segment whose end areas
+    lie on one side of the target keeps the end nearer to it.
+
+    The segment's seed is the cubic Hermite interpolant of its end roots and
+    slopes, or the chord between the ends where that interpolant is not
+    finite or strays from the chord by more than BRANCH_HALFWIDTH / 2; it
+    depends only on the segment and s1. A segment fails at the first
+    iterate where the corrector fails (NoConvergence), the pair leaves the
+    window 0 < hi − lo < 2π or s2 moves more than BRANCH_HALFWIDTH from that
+    seed (NoArcAtArea), or `arc_batch` rejects the pair. It also fails
+    (NoArcAtArea) where the best miss exceeds what the stop rule allows: the
+    bracket then closed on a jump in area. Returns (length, failures): NaN
+    length and, in `failures`, the exception of each failed segment; None
+    where it succeeded.
     """
     s1_a, s2_a, s1_b, s2_b, target = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
           for v in (s1_a, s2_a, s1_b, s2_b, target)))
+    n = len(s1_a)
     width = s1_b - s1_a
-    slope = (s2_b - s2_a) / width
-    # the branch's slopes ds2/ds1 at both ends, less the chord's
-    bend_a, bend_b = np.reshape(_branch_slope(
-        curve, np.concatenate([s1_a, s1_b]), np.concatenate([s2_a, s2_b])),
-        (2, -1)) - slope
-    failures = [None] * len(s1_a)
+    chord = (s2_b - s2_a) / width
+    failures = [None] * n
 
-    def seed_at(s1, lane):
-        """The cubic Hermite interpolant of the lane's end roots and slopes
-        at s1, or the chord where it is not finite or strays from the chord
-        by more than BRANCH_HALFWIDTH / 2."""
-        line = s2_a[lane] + slope[lane] * (s1 - s1_a[lane])
-        t = (s1 - s1_a[lane]) / width[lane]
-        with np.errstate(invalid="ignore", over="ignore"):
-            bend = width[lane] * t * (1.0 - t) * (
-                (1.0 - t) * bend_a[lane] - t * bend_b[lane])
-            keep = np.isfinite(bend) & (np.abs(bend) <= BRANCH_HALFWIDTH / 2.0)
-        return line + np.where(keep, bend, 0.0)
-
-    def arcs_at(s1, lane):
-        """(area, length) at s1 per lane; a failed lane is recorded and reads
-        as a root, so that the solver retires it."""
-        seed = seed_at(s1, lane)
-        s2 = arcsmod._correct_s2(curve, s1, seed)
+    def arcs_at(s1, s2, seed, lane):
+        """(area − target, length, s2, ds2/ds1, dA/ds1, ∂A/∂f) at the pairs
+        (s1, s2) of lanes `lane`, with `seed` the window check's s2. A failed
+        pair is recorded against its lane and reads NaN."""
         lo, hi = np.fmin(s1, s2), np.fmax(s1, s2)
         # a partner that left the window has jumped to another branch
         inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
                   & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
         arc = arcsmod.arc_batch(curve, lo[inside], hi[inside])
-        area, length = np.full(s1.shape, np.nan), np.full(s1.shape, np.nan)
-        area[inside], length[inside] = arc.area, arc.length
+        out = np.full((6, len(s1)), np.nan)
+        out[:, inside] = (arc.area - target[lane[inside]], arc.length, s2[inside],
+                          *_branch_slope(arc, s1[inside] < s2[inside]))
         bad = ~inside
         bad[inside] = arc.failure != 0
         for i in np.flatnonzero(bad):
@@ -406,37 +411,95 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
             else:
                 exc = arc.error(np.count_nonzero(inside[:i]))
             failures[lane[i]] = failures[lane[i]] or exc
-        area[bad], length[bad] = target[lane[bad]], np.nan
-        return area, length, s2
+        out[:, bad] = np.nan
+        return out
 
-    lanes = np.arange(len(s1_a))
-    s1, status = invert_monotone_many(
-        lambda s1, lane: arcs_at(s1, lane)[0] - target[lane], s1_a, s1_b, 1e-14,
-        args=(lanes,))
-    for i in np.flatnonzero(status < -1):
-        failures[i] = failures[i] or NoConvergence("area refinement did not converge")
-    ok = np.flatnonzero([exc is None for exc in failures])
-    area, length, s2 = arcs_at(np.concatenate([s1[ok], s1_a[ok], s1_b[ok]]),
-                               np.tile(ok, 3))
-    area, area_a, area_b = np.split(area, 3)
-    s1, s2 = s1[ok], s2[:len(ok)]
-    # The solve leaves s1 within xatol + xrtol·|s1| of the root, worth the
-    # branch's |dA/ds1| times that in area; the corrector leaves |f| up to
-    # NEWTON_F_TOL, worth |∂A/∂f| at fixed s1 times that (from a √eps step
-    # in s2). A larger miss is a jump in area across the target.
-    arc, moved = (arcsmod.arc_batch(curve, np.fmin(s1, x), np.fmax(s1, x))
-                  for x in (s2, s2 + np.sqrt(np.finfo(float).eps)))
+    lanes = np.arange(n)
+    ends = arcs_at(np.concatenate([s1_a, s1_b]), np.concatenate([s2_a, s2_b]),
+                   np.concatenate([s2_a, s2_b]), np.tile(lanes, 2))
+    end_a, end_b = ends[:, :n], ends[:, n:]
+    # the branch's slopes ds2/ds1 at both ends, less the chord's
+    bend_a, bend_b = end_a[3] - chord, end_b[3] - chord
+
+    def seed_at(s1, lane):
+        """The cubic Hermite interpolant of the lane's end roots and slopes
+        at s1, or the chord where it is not finite or strays from the chord
+        by more than BRANCH_HALFWIDTH / 2."""
+        line = s2_a[lane] + chord[lane] * (s1 - s1_a[lane])
+        t = (s1 - s1_a[lane]) / width[lane]
+        with np.errstate(invalid="ignore", over="ignore"):
+            bend = width[lane] * t * (1.0 - t) * (
+                (1.0 - t) * bend_a[lane] - t * bend_b[lane])
+            keep = np.isfinite(bend) & (np.abs(bend) <= BRANCH_HALFWIDTH / 2.0)
+        return line + np.where(keep, bend, 0.0)
+
+    # each lane's best point (smallest |A − target|): its s1 and arcs_at's rows
+    near = np.abs(end_a[0]) <= np.abs(end_b[0])
+    best_s1, best = np.where(near, s1_a, s1_b), np.where(near, end_a, end_b)
+    # the bracket: xa keeps the sign of the a end's area miss fa, xb of fb
+    xa, fa, xb, fb = s1_a.copy(), end_a[0], s1_b.copy(), end_b[0]
+
+    def within(x, lane):
+        return (np.fmin(xa[lane], xb[lane]) < x) & (x < np.fmax(xa[lane], xb[lane]))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        da_df = (moved.area - arc.area) / (moved.residual - arc.residual)
-    miss = np.abs(area - target[ok])
-    jump = miss > (np.abs(area_b - area_a) / (s1_b[ok] - s1_a[ok])
-                   * (1e-14 + XRTOL * np.abs(s1))
-                   + np.abs(da_df) * arcsmod.NEWTON_F_TOL)
-    for i, m in zip(ok[jump], miss[jump]):
-        failures[i] = NoArcAtArea(f"area misses the target by {m:.3e} "
-                                  "where the solve stopped: a jump, not a root")
-    out = np.full(len(s1_a), np.nan)
-    out[ok] = np.where(jump, np.nan, length[:len(ok)])
+        x = best_s1 - best[0] / best[4]
+        secant = s1_a - fa * width / (fb - fa)
+    x = np.where(within(x, lanes), x, secant)
+    seed = seed_at(x, lanes)
+    prev_f, prev_step = np.abs(best[0]), np.full(n, np.inf)
+    # lanes with a sign change between their ends iterate
+    idx = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0)
+                         & np.array([exc is None for exc in failures]))
+    for _ in range(MAX_ITER):
+        if not idx.size:
+            break
+        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx])
+        vals = arcs_at(x[idx], s2, seed_at(x[idx], idx), idx)
+        ok = np.array([failures[i] is None for i in idx], dtype=bool)
+        idx, vals, xi = idx[ok], vals[:, ok], x[idx[ok]]
+        f, d_area, da_df = vals[0], vals[4], vals[5]
+        better = np.abs(f) < np.abs(best[0, idx])
+        best_s1[idx[better]], best[:, idx[better]] = xi[better], vals[:, better]
+        side_a = np.sign(f) == np.sign(fa[idx])
+        xa[idx[side_a]], fa[idx[side_a]] = xi[side_a], f[side_a]
+        xb[idx[~side_a]], fb[idx[~side_a]] = xi[~side_a], f[~side_a]
+        tol = 1e-14 + XRTOL * np.abs(xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / d_area
+        # within the area that the corrector's |f| tolerance is worth, a
+        # Newton step that stops shrinking only follows rounding
+        noise = np.abs(f) <= np.abs(da_df) * arcsmod.NEWTON_F_TOL
+        done = ((np.isfinite(d_area) & (np.abs(step) < tol))
+                | (np.abs(xb[idx] - xa[idx]) < tol)
+                | noise & (np.abs(step) >= prev_step[idx]))
+        newton = xi - step
+        newton_ok = within(newton, idx) & (noise | (np.abs(f) <= 0.5 * prev_f[idx]))
+        nxt = np.where(newton_ok, newton, 0.5 * (xa[idx] + xb[idx]))
+        prev_f[idx], prev_step[idx] = np.abs(f), np.abs(step)
+        # the next corrector seed: the tangent predictor from this iterate
+        # after a Newton step, the segment's own seed after a bisection
+        tangent = vals[2] + vals[3] * (nxt - xi)
+        seed[idx] = np.where(newton_ok & np.isfinite(tangent), tangent,
+                             seed_at(nxt, idx))
+        x[idx] = nxt
+        idx = idx[~done]
+    for i in idx:
+        failures[i] = failures[i] or NoConvergence("area refinement did not converge")
+    # A lane stops with s1 within xatol + xrtol·|s1| of the root, worth
+    # |dA/ds1| times that in area, or at the area the corrector's |f|
+    # tolerance NEWTON_F_TOL is worth, |∂A/∂f| at fixed s1 times it. A larger
+    # miss is a jump in area across the target.
+    miss, d_area, da_df = np.abs(best[0]), best[4], best[5]
+    jump = ~(miss <= np.abs(d_area) * (1e-14 + XRTOL * np.abs(best_s1))
+             + np.abs(da_df) * arcsmod.NEWTON_F_TOL)
+    out = np.full(n, np.nan)
+    for i in range(n):
+        if failures[i] is None and jump[i]:
+            failures[i] = NoArcAtArea(f"area misses the target by {miss[i]:.3e} "
+                                      "where the solve stopped: a jump, not a root")
+        if failures[i] is None:
+            out[i] = best[1, i]
     return out, failures
 
 
@@ -449,11 +512,14 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     matches roots across neighboring s1 into branches: each root's offset
     s2 − s1 is carried to slice i + 1 along its tangent and joined to the
     nearest root within 3 s1 steps of that prediction (or, failing that, to
-    slice i + 2 within 6 steps), on a padded (slice × root) table. An arc's
-    complement has the same length and area |Ω| − A, so each branch segment
-    whose end areas straddle the target or |Ω| − target is refined in s1;
-    all of them in one `_refine_on_branch` call. Independent of every
-    closed form in the package.
+    slice i + 2 within 6 steps), on a padded (slice × root) table. The
+    slopes come from the table's own `arc_batch` sample (`_branch_slope`).
+    An arc's complement has the same length and area |Ω| − A, so each
+    branch segment whose end areas straddle the target or |Ω| − target is
+    refined in s1, all of them in one `_refine_on_branch` call: a
+    safeguarded Newton iteration on the area along the branch, with the
+    exact dA/ds1 of the arc kernel. Independent of every closed form in the
+    package.
     """
     if n_s1 < 1:
         raise ValueError(f"n_s1 must be at least 1, got {n_s1}")
@@ -477,7 +543,7 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
     table = arcsmod.arc_batch(curve, s1_all, s2_all)
     table.raise_first()
-    slope = _branch_slope(curve, s1_all, s2_all)
+    slope = _branch_slope(table)[0]
     offset, area, drift = (np.full(valid.shape, np.nan) for _ in range(3))
     offset[valid], area[valid] = s2_all - s1_all, table.area
     # where ∂f/∂s2 = 0 the slope is not finite: predict no drift there

@@ -49,6 +49,12 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
                  ["domain-info", "--spec-json",
                   '{"support_cos": [1], "support_sin": 0.1}'],
                  ["domain-info", "--spec-json", '{"preset": "disk", "params": [1]}'],
+                 ["domain-info", "--spec-json",
+                  '{"preset": "disk", "params": {"radius": null}}'],
+                 ["domain-info", "--spec-json",
+                  '{"preset": "disk", "params": {"radius": [1]}}'],
+                 ["domain-info", "--spec-json",
+                  '{"preset": "ellipse", "params": {"a": true, "b": 1}}'],
                  ["domain-info", "--preset", "ellipse", "--a", "nan", "--b", "1"],
                  ["domain-info", "--preset", "disk", "--radius", "nan"],
                  ["domain-info", "--preset", "ellipse", "--a", "2"],

@@ -374,6 +374,80 @@ def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
             assert length[i] == pytest.approx(refine_one(curve, *seg), abs=1e-11)
 
 
+def test_branch_slope_reads_the_kernel_sample(ellipse_main):
+    """The slope from `arc_batch`'s own sample is the same float as from a
+    separate `two_point_eval` of the pairs."""
+    curve = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3)
+    for c in (ellipse_main, curve):
+        s1_grid = (np.arange(24) + 0.5) * (2.0 * np.pi / 24)
+        roots = arcs.scan_arc_roots(c, s1_grid)
+        s1 = np.repeat(s1_grid, [len(r) for r in roots])
+        s2 = np.concatenate(roots)
+        _, g1, g2, w1, w2 = arcs.two_point_eval(c, s1, s2)
+        slope = prof._branch_slope(arcs.arc_batch(c, s1, s2))[0]
+        assert np.array_equal(slope, -(g1 * w1) / (g2 * w2))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "two-mode", "mode 3", "critical cos 4u"])
+def test_branch_area_derivative_matches_differences(name, ellipse_main,
+                                                    fourier_domain):
+    """dA/ds1 along the branch, from the arc kernel's own sample, against
+    central differences of the corrected branch, and against (dL/ds1)/κ,
+    since dL = κ dA along arcs that meet the boundary orthogonally.
+
+    Tolerances, derived before the run: each corrected point leaves
+    |f| ≤ NEWTON_F_TOL, which moves a quantity X (A or L) by up to
+    e = |∂X/∂f|·NEWTON_F_TOL at fixed s1, plus its own rounding (below
+    1e-14 for O(1) sums). The central difference D_h of X then carries e/h
+    of noise and D_2h e/(2h), and their truncation errors are ch² and 4ch²,
+    so |ch²| ≤ (|D_2h − D_h| + 1.5e/h)/3. The exact rate may thus differ
+    from D_h by at most |D_2h − D_h|/3 + 1.5e/h, allowed here as
+    |D_2h − D_h| + 2e/h. ∂A/∂f is exact (`_branch_slope`); ∂L/∂f is a
+    forward difference in s2 with a √eps step.
+    """
+    curve = {"ellipse": ellipse_main, "two-mode": fourier_domain,
+             "mode 3": pert.build_perturbed_domain(pert.PerturbationField.mode(3),
+                                                   5e-3),
+             "critical cos 4u": pert.build_perturbed_domain(
+                 pert.PerturbationField.mode(4), 1e-3)}[name]
+    s1_grid = (np.arange(12) + 0.5) * (2.0 * np.pi / 12)
+    roots = arcs.scan_arc_roots(curve, s1_grid)
+    s1 = np.repeat(s1_grid, [len(r) for r in roots])
+    s2 = np.concatenate(roots)
+    arc = arcs.arc_batch(curve, s1, s2)
+    slope, d_area, da_df = prof._branch_slope(arc)
+    # points where the branch is a graph over s1 with a moderate slope and
+    # the corrector pins s2 (not the near-degenerate pairs of a near-disk)
+    keep = (np.abs(slope) < 4.0) & (np.abs(da_df) < 1e4)
+    s1, s2, slope, d_area, da_df = (v[keep] for v in (s1, s2, slope, d_area, da_df))
+    curvature, length = arc.curvature[keep], arc.length[keep]
+    assert len(s1) >= 8
+
+    def along(h):
+        """A and L at s1 + h on the corrected branch."""
+        x = s1 + h
+        y = arcs._correct_s2(curve, x, s2 + slope * h)
+        moved = arcs.arc_batch(curve, x, y)
+        assert not np.any(moved.failure)
+        return moved.area, moved.length
+
+    h = 1e-4
+    (a_m2, l_m2), (a_m1, l_m1), (a_p1, l_p1), (a_p2, l_p2) = (
+        along(k * h) for k in (-2, -1, 1, 2))
+    da_h, da_2h = (a_p1 - a_m1) / (2 * h), (a_p2 - a_m2) / (4 * h)
+    dl_h, dl_2h = (l_p1 - l_m1) / (2 * h), (l_p2 - l_m2) / (4 * h)
+    step = np.sqrt(np.finfo(float).eps)
+    off = arcs.arc_batch(curve, s1, s2 + step)
+    dl_df = (off.length - length) / (off.residual - arc.residual[keep])
+    e_area = np.abs(da_df) * arcs.NEWTON_F_TOL + 1e-14
+    e_length = np.abs(dl_df) * arcs.NEWTON_F_TOL + 1e-14
+    assert np.all(np.abs(d_area - da_h) <= np.abs(da_2h - da_h) + 2 * e_area / h)
+    bent = np.abs(curvature) > 1e-3
+    assert np.any(bent)
+    assert np.all(np.abs(dl_h - curvature * d_area)[bent]
+                  <= (np.abs(dl_2h - dl_h) + 2 * e_length / h)[bent])
+
+
 def _forced_lane_failure(monkeypatch, ellipse_main, patch):
     """Refine the oracle's segments at area 1 once as they are and once with
     `patch(monkeypatch, s1_lo, s1_hi)` failing the s1 range of lane 2."""
@@ -565,20 +639,47 @@ def test_array_matching_equals_the_root_loop(monkeypatch, name, areas,
 def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
     """Boundary evaluations of one oracle call on the critical cos 4u domain.
 
-    Measured: 149 `two_point_eval` calls at s = 1e-3 and 51 at s = 5e-3.
-    The bounds allow 10% over the measurement, for solver steps that
-    rounding moves.
+    Measured: 51 `two_point_eval` calls at s = 1e-3 and 18 at s = 5e-3.
+    The bounds allow 10% over the measurement (rounded up), for solver
+    steps that rounding moves.
     """
     area = pert.find_mode_roots(4)[0].area
     calls = []
     evaluate = arcs.two_point_eval
     monkeypatch.setattr(arcs, "two_point_eval",
                         lambda *args: calls.append(1) or evaluate(*args))
-    for s, bound in ((1e-3, 164), (5e-3, 56)):
+    for s, bound in ((1e-3, 57), (5e-3, 20)):
         curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
         calls.clear()
         prof.general_profile_oracle(curve, area)
         assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("area", [1.0, HALF_PI])
+def test_refinement_work_on_the_ellipse(monkeypatch, ellipse_main, area):
+    """Kernel and corrector calls of one `_refine_on_branch` on the √2
+    ellipse: one `arc_batch` of the segment ends, then one corrector call and
+    one `arc_batch` per Newton iterate. Measured: 5 `arc_batch` and 4
+    `_correct_s2` calls at A = 1 (8 segments) and at π/2 (16). The bounds
+    allow 10% over the measurement, rounded up."""
+    counts = {"arc_batch": 0, "_correct_s2": 0}
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(arcs, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(arcs, name, counted)
+    refine, seen = prof._refine_on_branch, []
+
+    def spy(*args):
+        before = dict(counts)
+        out = refine(*args)
+        seen.append({k: counts[k] - before[k] for k in counts})
+        return out
+
+    monkeypatch.setattr(prof, "_refine_on_branch", spy)
+    prof.general_profile_oracle(ellipse_main, area)
+    [work] = seen
+    assert work["arc_batch"] <= 6 and work["_correct_s2"] <= 5
 
 
 def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):
