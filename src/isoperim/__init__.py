@@ -8,10 +8,10 @@ profile of the unit disk responds to area-preserving boundary fields.
 """
 
 from . import arcs, disk, geometry, perturbation, profile
-from .arcs import PerfectArc, TwoPointState, build_arc, continue_family, \
-    two_point_f, two_point_grad, vertex_family
-from .geometry import (CurvePoint, DomainClassReport, RadialCurve,
-                       SupportCurve, classify, domain_from_spec)
+from .arcs import (PerfectArc, build_arc, continue_family, two_point_f,
+                   two_point_grad, vertex_family)
+from .geometry import (DomainClassReport, RadialCurve, SupportCurve, classify,
+                       domain_from_spec)
 from .perturbation import (ExperimentReport, ModeRoot, PerturbationField,
                            aggregate_second_variation, build_perturbed_domain,
                            find_mode_roots, first_variation_l,
@@ -23,9 +23,9 @@ from .profile import (ConjectureReport, ProfileTable, conjecture_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PerfectArc", "TwoPointState", "build_arc", "continue_family",
-    "two_point_f", "two_point_grad", "vertex_family",
-    "CurvePoint", "DomainClassReport", "RadialCurve", "SupportCurve",
+    "PerfectArc", "build_arc", "continue_family", "two_point_f",
+    "two_point_grad", "vertex_family",
+    "DomainClassReport", "RadialCurve", "SupportCurve",
     "classify", "domain_from_spec",
     "ExperimentReport", "ModeRoot", "PerturbationField",
     "aggregate_second_variation", "build_perturbed_domain", "find_mode_roots",

@@ -62,16 +62,6 @@ class PerfectArc:
     ortho_residual: float
 
 
-@dataclass(frozen=True)
-class TwoPointState:
-    """Endpoint pair with the two-point value and arclength gradient."""
-
-    s1: float
-    s2: float
-    f_value: float
-    grad: tuple
-
-
 def two_point_eval(curve: PlaneBoundary, s1, s2) -> tuple:
     """(f, ∂f/∂s1, ∂f/∂s2, speed at s1, speed at s2) from one boundary sample.
 
@@ -124,18 +114,6 @@ def two_point_grad(curve: PlaneBoundary, s1: float, s2: float) -> tuple:
     """Arclength partials (∂f/∂s1, ∂f/∂s2) of the two-point function."""
     _, g1, g2, _, _ = two_point_eval(curve, s1, s2)
     return (float(g1), float(g2))
-
-
-def two_point_state(curve: PlaneBoundary, s1: float, s2: float) -> TwoPointState:
-    return TwoPointState(float(s1), float(s2),
-                         two_point_f(curve, s1, s2),
-                         two_point_grad(curve, s1, s2))
-
-
-def is_degenerate_pair(curve: PlaneBoundary, s1: float, s2: float) -> bool:
-    """Both arclength partials of f vanish (to 1e-9; they are scale-free)."""
-    g1, g2 = two_point_grad(curve, s1, s2)
-    return abs(g1) < 1e-9 and abs(g2) < 1e-9
 
 
 def _wrap_mod_pi(x):
@@ -304,20 +282,30 @@ def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float) -> PerfectArc:
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not 0.0 < t_hi - t_lo < TWO_PI:
         raise ValueError("need t_lo < t_hi with t_hi - t_lo in (0, 2pi)")
+    return _perfect_arcs(curve, [t_lo], [t_hi])[0]
+
+
+def _perfect_arcs(curve: PlaneBoundary, t_lo, t_hi) -> list:
+    """`build_arc` for each endpoint pair (t_lo[i], t_hi[i]), all from one
+    `arc_batch`. Raises the first element's failure."""
     arc = arc_batch(curve, t_lo, t_hi)
     arc.raise_first()
-    a_pt, b_pt, alpha = arc.a_pt[0], arc.b_pt[0], float(arc.alpha[0])
-    contained = _sample_containment(curve, a_pt, b_pt, alpha)
-    common = dict(curvature=float(arc.curvature[0]), endpoint_thetas=(t_lo, t_hi),
-                  length=float(arc.length[0]), enclosed_area=float(arc.area[0]),
-                  contained=contained, ortho_residual=float(arc.ortho[0]))
-    if arc.segment[0]:
-        return PerfectArc("segment", None, None, **common)
-    chord_len, chord_ang = float(arc.chord_len[0]), float(arc.chord_ang[0])
-    radius = chord_len / (2.0 * abs(np.sin(alpha)))
-    rot_t_a = np.array([-np.sin(chord_ang + alpha), np.cos(chord_ang + alpha)])
-    center = a_pt + radius * np.sign(alpha) * rot_t_a
-    return PerfectArc("circular", center, radius, **common)
+    out = []
+    for i, ends in enumerate(zip(map(float, t_lo), map(float, t_hi))):
+        a_pt, b_pt, alpha = arc.a_pt[i], arc.b_pt[i], float(arc.alpha[i])
+        common = dict(curvature=float(arc.curvature[i]), endpoint_thetas=ends,
+                      length=float(arc.length[i]), enclosed_area=float(arc.area[i]),
+                      contained=_sample_containment(curve, a_pt, b_pt, alpha),
+                      ortho_residual=float(arc.ortho[i]))
+        if arc.segment[i]:
+            out.append(PerfectArc("segment", None, None, **common))
+            continue
+        chord_len, chord_ang = float(arc.chord_len[i]), float(arc.chord_ang[i])
+        radius = chord_len / (2.0 * abs(np.sin(alpha)))
+        rot_t_a = np.array([-np.sin(chord_ang + alpha), np.cos(chord_ang + alpha)])
+        center = a_pt + radius * np.sign(alpha) * rot_t_a
+        out.append(PerfectArc("circular", center, radius, **common))
+    return out
 
 
 def _sample_containment(curve, a_pt, b_pt, alpha):
@@ -459,25 +447,26 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
     return out.reshape(s1_b.shape)
 
 
-def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
+def continue_family(curve: PlaneBoundary, s1: float, s2: float, steps: int,
                     ds: float) -> list:
-    """Predictor-corrector continuation of the arc family through the seed.
+    """Predictor-corrector continuation of the arc family through the
+    perfect endpoint pair (s1, s2).
 
-    Steps s1 by ds and corrects s2 along f = 0. On a disk every pair
-    satisfies f = 0 and the gradient vanishes identically, so the family is
-    generated by the closed-form arcs instead (fixed midpoint, growing
-    half-angle).
+    Steps s1 by ds and corrects s2 along f = 0, then builds every arc in one
+    `arc_batch`. On a disk every pair satisfies f = 0 and the gradient
+    vanishes identically, so the family is generated by the closed-form arcs
+    instead (fixed midpoint, growing half-angle).
     """
     if isinstance(curve, SupportCurve) and _is_disk_coeffs(curve):
-        return _disk_route(curve, seed, steps, ds)
+        return _disk_route(curve, s1, s2, steps, ds)
 
-    if abs(two_point_f(curve, seed.s1, seed.s2)) > 1e-8:
+    if abs(two_point_f(curve, s1, s2)) > 1e-8:
         raise NotPerfect("seed does not satisfy the two-point condition")
-    if is_degenerate_pair(curve, seed.s1, seed.s2):
+    # both arclength partials vanish (to 1e-9; they are scale-free)
+    if max(map(abs, two_point_grad(curve, s1, s2))) < 1e-9:
         raise DegenerateGradient("seed gradient vanishes; family not unique")
 
-    arcs = []
-    s1, s2 = seed.s1, seed.s2
+    ends = []
     for _ in range(steps):
         _, g1, g2, w1, w2 = two_point_eval(curve, s1, s2)
         g1, g2 = float(g1 * w1), float(g2 * w2)  # to parameter derivatives
@@ -495,17 +484,17 @@ def continue_family(curve: PlaneBoundary, seed: TwoPointState, steps: int,
         lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
         if hi - lo >= TWO_PI:
             break
-        arcs.append(build_arc(curve, lo, hi))
-    return arcs
+        ends.append((lo, hi))
+    return _perfect_arcs(curve, *np.reshape(ends, (-1, 2)).T)
 
 
-def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
+def _disk_route(curve: SupportCurve, s1: float, s2: float, steps: int,
                 ds: float) -> list:
     # h = r + a cos θ + b sin θ is the disk of radius r centered at (a, b)
     radius, a = (curve.cos_coeffs + (0.0,))[:2]
     center = np.array([a, (curve.sin_coeffs + (0.0,))[0]])
-    u = 0.5 * (seed.s1 + seed.s2)
-    half = 0.5 * abs(seed.s1 - seed.s2)
+    u = 0.5 * (s1 + s2)
+    half = 0.5 * abs(s1 - s2)
     arcs = []
     for j in range(1, steps + 1):
         theta = half + j * ds
@@ -525,9 +514,9 @@ def _disk_route(curve: SupportCurve, seed: TwoPointState, steps: int,
 # --------------------------------------------------------------------------
 
 def _vertex_partners(curve: SupportCurve, vertex_theta: float,
-                     offsets) -> list:
-    """Endpoint pairs (t1, t2) of the arcs at arclength offsets s1 > 0 from a
-    non-degenerate vertex (κ' = 0, κ'' ≠ 0).
+                     offsets) -> tuple:
+    """Endpoint parameters (t1, t2), as two arrays, of the arcs at arclength
+    offsets s1 > 0 from a non-degenerate vertex (κ' = 0, κ'' ≠ 0).
 
     The partner offset solves f = 0, seeded by the quadratic expansion
     s2 ≈ −s1 − (κ'''/(5κ''))·s1².
@@ -548,23 +537,24 @@ def _vertex_partners(curve: SupportCurve, vertex_theta: float,
     if failed.size:
         raise NoConvergence(f"corrector failed at vertex offset "
                             f"s1={s1[failed[0]]:.6g}")
-    return list(zip(t1.tolist(), t2.tolist()))
+    return t1, t2
 
 
 def vertex_family(curve: SupportCurve, vertex_theta: float,
                   s1_grid: Sequence[float]) -> list:
-    """Arcs shrinking to a non-degenerate vertex (κ' = 0, κ'' ≠ 0).
+    """Arcs shrinking to a non-degenerate vertex (κ' = 0, κ'' ≠ 0), built in
+    one `arc_batch`.
 
     s1_grid holds arclength offsets of the upper endpoint from the vertex.
     """
     curve.require_convex()
     offsets = sorted(float(x) for x in s1_grid)
-    return [build_arc(curve, min(t1, t2), max(t1, t2))
-            for t1, t2 in _vertex_partners(curve, vertex_theta, offsets)]
+    t1, t2 = _vertex_partners(curve, vertex_theta, offsets)
+    return _perfect_arcs(curve, np.fmin(t1, t2), np.fmax(t1, t2))
 
 
 def vertex_partner_offset(curve: SupportCurve, vertex_theta: float,
                           s1: float) -> float:
     """Solved arclength offset s2 of the partner endpoint (for testing)."""
-    [(_, t2)] = _vertex_partners(curve, vertex_theta, [float(s1)])
-    return curve.arclength_between(vertex_theta, t2)
+    _, [t2] = _vertex_partners(curve, vertex_theta, [float(s1)])
+    return curve.arclength_between(vertex_theta, float(t2))

@@ -12,6 +12,7 @@ the error classes in `errors`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -47,29 +48,21 @@ def _json_dump(obj) -> str:
 
 def _load_domain(args) -> SupportCurve:
     spec = None
-    if getattr(args, "spec", None):
+    if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    if getattr(args, "spec_json", None):
+    if args.spec_json:
         spec = json.loads(args.spec_json)
-    preset = getattr(args, "preset", None)
-    if preset:  # flags win over the spec file
-        params = {}
-        if preset == "ellipse":
-            a = getattr(args, "a", None)
-            b = getattr(args, "b", None)
-            if a is None or b is None:
-                if spec and spec.get("preset") == "ellipse":
-                    params = spec.get("params", {})
-                a = a if a is not None else params.get("a")
-                b = b if b is not None else params.get("b")
-            if a is None or b is None:
-                raise ValueError("ellipse preset needs --a and --b")
-            spec = {"preset": "ellipse", "params": {"a": a, "b": b}}
-        else:  # argparse's choices leave only "disk"
-            radius = getattr(args, "radius", None)
-            spec = {"preset": "disk",
-                    "params": {"radius": radius if radius is not None else 1.0}}
+    # flags win over the spec's params for the same preset; a spec that is
+    # not an object, or params that are not one, reach domain_from_spec's checks
+    if args.preset and (spec is None or isinstance(spec, dict)):
+        same = spec is not None and spec.get("preset") == args.preset
+        params = (spec.get("params") if same else None) or {}
+        if isinstance(params, dict):
+            names = ("radius",) if args.preset == "disk" else ("a", "b")
+            params = {**params, **{name: getattr(args, name) for name in names
+                                   if getattr(args, name) is not None}}
+        spec = {"preset": args.preset, "params": params}
     if spec is None:
         raise ValueError("no domain given: use --preset or --spec")
     return domain_from_spec(spec)
@@ -194,7 +187,9 @@ def cmd_implicit_curve(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="isoperim",
         description="Isoperimetric profiles of planar convex bodies "

@@ -11,8 +11,6 @@ speed) so the arc machinery works on either.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -29,17 +27,6 @@ TWO_PI = 2.0 * np.pi
 SCAN_NODES = 4096
 # slack of the containment tests, for points on the boundary itself
 CONTAIN_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class CurvePoint:
-    """Boundary point with its Frenet data at parameter theta."""
-
-    theta: float
-    position: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    curvature: float
 
 
 class CurveSamples(NamedTuple):
@@ -62,28 +49,9 @@ class PlaneBoundary:
     def area(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def contains(self, point) -> bool:
-        return self.contains_many(np.asarray(point, float)[None, :])
-
     def moment_between(self, t0, t1):
         """∫ (x y' − y x') dt over [t0, t1]; twice the swept Green area."""
         return self._moment_series.integral_between(t0, t1)
-
-    def point(self, theta: float) -> CurvePoint:
-        s = self.sample(np.array([float(theta)]))
-        return CurvePoint(
-            theta=float(theta),
-            position=s.position[0],
-            tangent=s.tangent[0],
-            normal=s.normal[0],
-            curvature=float(s.curvature[0]),
-        )
-
-    def speed(self, theta):
-        return self.sample(np.atleast_1d(np.asarray(theta, float))).speed
-
-    def perimeter(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class SupportCurve(PlaneBoundary):
@@ -222,16 +190,6 @@ class SupportCurve(PlaneBoundary):
             raise NumericalError("arclength inversion did not converge")
         return float(theta) if theta.ndim == 0 else theta
 
-    # --- misc ---------------------------------------------------------------
-
-    def spec_dict(self) -> dict:
-        return {"support_cos": list(self.cos_coeffs),
-                "support_sin": list(self.sin_coeffs)}
-
-    def domain_id(self) -> str:
-        payload = json.dumps(self.spec_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
     def __repr__(self):
         return f"SupportCurve(modes={self.h_series.order}, area={self.area():.6g})"
 
@@ -255,9 +213,6 @@ class RadialCurve(PlaneBoundary):
     def _r_second(self) -> TrigSeries:
         return self._r_prime.derivative()
 
-    def r(self, u):
-        return self.radius_series(u)
-
     def sample(self, u) -> CurveSamples:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         r, rp, rpp = TrigSeries.evaluate(u, self.radius_series, self._r_prime,
@@ -277,10 +232,6 @@ class RadialCurve(PlaneBoundary):
         c = self.radius_series.cos_c
         s = self.radius_series.sin_c
         return float(np.pi * c[0] ** 2 + (np.pi / 2.0) * np.sum(c[1:] ** 2 + s[1:] ** 2))
-
-    def perimeter(self) -> float:
-        u = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
-        return float(np.mean(self.sample(u).speed) * TWO_PI)
 
     def min_curvature(self) -> float:
         u = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)

@@ -57,7 +57,6 @@ class ProfileTable:
     area: np.ndarray
     length: np.ndarray
     arc_curvature: np.ndarray
-    domain_id: str
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -190,7 +189,7 @@ def _symmetric_table(curve: SupportCurve, n_samples: int) -> ProfileTable:
         raise NumericalError(
             f"area cross-check failed: Green vs dA=(1/k)dL differ by {worst:.3e}")
 
-    return ProfileTable(theta, area, length, curvature, curve.domain_id())
+    return ProfileTable(theta, area, length, curvature)
 
 
 def family_area_at(curve: SupportCurve, theta):

@@ -10,7 +10,7 @@ from isoperim.errors import (CoincidentPoints, DegenerateGradient,
                              DegenerateVertex, NoConvergence,
                              NormalsParallelButNotAligned, NotAVertex,
                              NotPerfect)
-from isoperim.geometry import CurveSamples, SupportCurve
+from isoperim.geometry import CurveSamples, SupportCurve, find_vertices
 
 SQRT2 = np.sqrt(2.0)
 TWO_PI = 2.0 * np.pi
@@ -34,8 +34,8 @@ def test_f_vanishes_on_disk(unit_disk):
             continue
         assert abs(arcs.two_point_f(unit_disk, t1, t2)) < 1e-13
         g = arcs.two_point_grad(unit_disk, t1, t2)
+        # under continue_family's 1e-9 degeneracy test at every pair
         assert abs(g[0]) < 1e-13 and abs(g[1]) < 1e-13
-        assert arcs.is_degenerate_pair(unit_disk, t1, t2)
 
 
 def test_f_symmetric_pair_is_zero(ellipse_main):
@@ -59,10 +59,9 @@ def test_f_coincident_rejected(ellipse_main):
         arcs.two_point_f(ellipse_main, 0.3, 0.3)
     with pytest.raises(CoincidentPoints):
         arcs.two_point_f(ellipse_main, 0.3, 0.3 + TWO_PI)
-    # the gradient and the degeneracy test stay defined there
+    # the gradient stays defined there, under the 1e-9 degeneracy test
     g = arcs.two_point_grad(ellipse_main, 0.3, 0.3)
     assert abs(g[0]) < 1e-15 and abs(g[1]) < 1e-15
-    assert arcs.is_degenerate_pair(ellipse_main, 0.3, 0.3)
 
 
 def test_grad_finite_difference_100_pairs(ellipse_main):
@@ -91,9 +90,9 @@ def test_grad_finite_difference_100_pairs(ellipse_main):
 
 
 def test_degeneracy_detector_matches_gradient(ellipse_main, unit_disk):
-    # circle: degenerate everywhere; ellipse generic pair: not degenerate
-    assert arcs.is_degenerate_pair(unit_disk, 0.4, 2.2)
-    assert not arcs.is_degenerate_pair(ellipse_main, 0.4, -0.4)
+    # circle: both partials below 1e-9 everywhere; ellipse generic pair: not
+    g = arcs.two_point_grad(unit_disk, 0.4, 2.2)
+    assert max(abs(g[0]), abs(g[1])) < 1e-9
     g = arcs.two_point_grad(ellipse_main, 0.4, -0.4)
     assert max(abs(g[0]), abs(g[1])) > 1e-3
 
@@ -101,10 +100,11 @@ def test_degeneracy_detector_matches_gradient(ellipse_main, unit_disk):
 def test_degenerate_at_perfect_chord(ellipse_main):
     # the branch crosses the spurious line s2 = s1 + pi at a perfect chord,
     # so both partials vanish there and no family is unique
-    assert arcs.is_degenerate_pair(ellipse_main, -np.pi / 2.0, np.pi / 2.0)
-    seed = arcs.two_point_state(ellipse_main, -np.pi / 2.0, np.pi / 2.0)
+    g = arcs.two_point_grad(ellipse_main, -np.pi / 2.0, np.pi / 2.0)
+    assert max(abs(g[0]), abs(g[1])) < 1e-9
     with pytest.raises(DegenerateGradient):
-        arcs.continue_family(ellipse_main, seed, steps=3, ds=0.05)
+        arcs.continue_family(ellipse_main, -np.pi / 2.0, np.pi / 2.0,
+                             steps=3, ds=0.05)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "perturbed"])
@@ -115,9 +115,9 @@ def test_two_point_eval_partials_and_speeds(name, ellipse_main):
     s2 = np.array([[0.9, 2.5, 3.3, 5.6]])
     f, g1, g2, w1, w2 = arcs.two_point_eval(curve, s1, s2)
     assert f.shape == g1.shape == g2.shape == (3, 4)
-    assert np.allclose(w1, curve.speed(s1.ravel()).reshape(s1.shape),
+    assert np.allclose(w1, curve.sample(s1.ravel()).speed.reshape(s1.shape),
                        rtol=1e-14, atol=0.0)
-    assert np.allclose(w2, curve.speed(s2.ravel()).reshape(s2.shape),
+    assert np.allclose(w2, curve.sample(s2.ravel()).speed.reshape(s2.shape),
                        rtol=1e-14, atol=0.0)
     assert np.array_equal(arcs.two_point_f_many(curve, s1, s2), f)
     h = 1e-6
@@ -515,7 +515,6 @@ def test_corrector_marks_failed_elements_nan(monkeypatch, fourier_domain):
     got = arcs._correct_s2(fourier_domain, 0.3, [root + 0.05, 0.3 + TWO_PI])
     assert got[0] == pytest.approx(root, abs=1e-12) and np.isnan(got[1])
     # no Newton step: no element converges, and every caller refuses
-    seed = arcs.two_point_state(fourier_domain, 0.3, root)
     monkeypatch.setattr(arcs, "NEWTON_MAX_ITER", 0)
     assert np.isnan(arcs._correct_s2(fourier_domain, 0.3, root))
     with pytest.raises(NoConvergence, match="offset s1=0.05"):
@@ -523,7 +522,7 @@ def test_corrector_marks_failed_elements_nan(monkeypatch, fourier_domain):
     with pytest.raises(NoConvergence):
         arcs.vertex_partner_offset(fourier_domain, 0.0, 0.1)
     with pytest.raises(NoConvergence, match="corrector failed"):
-        arcs.continue_family(fourier_domain, seed, steps=3, ds=0.05)
+        arcs.continue_family(fourier_domain, 0.3, root, steps=3, ds=0.05)
 
 
 def test_corrector_stops_at_rounding_floor(monkeypatch):
@@ -557,8 +556,7 @@ def test_corrector_stops_at_rounding_floor(monkeypatch):
 # --- continuation ------------------------------------------------------------
 
 def test_continuation_on_disk_routes_to_closed_form(unit_disk):
-    seed = arcs.two_point_state(unit_disk, 0.3, -0.3)
-    fam = arcs.continue_family(unit_disk, seed, steps=6, ds=0.1)
+    fam = arcs.continue_family(unit_disk, 0.3, -0.3, steps=6, ds=0.1)
     assert len(fam) == 6
     for j, arc in enumerate(fam, start=1):
         ref = disk.arc(0.0, 0.3 + 0.1 * j)
@@ -567,9 +565,9 @@ def test_continuation_on_disk_routes_to_closed_form(unit_disk):
 
 
 def test_continuation_on_scaled_disk_scales_unit_arcs(unit_disk):
-    seed = arcs.two_point_state(unit_disk, 0.3, -0.3)
-    unit = arcs.continue_family(unit_disk, seed, steps=6, ds=0.1)
-    fam = arcs.continue_family(SupportCurve.disk(1.7), seed, steps=6, ds=0.1)
+    unit = arcs.continue_family(unit_disk, 0.3, -0.3, steps=6, ds=0.1)
+    fam = arcs.continue_family(SupportCurve.disk(1.7), 0.3, -0.3, steps=6,
+                               ds=0.1)
     assert len(fam) == len(unit) == 6
     for arc, ref in zip(fam, unit):
         assert arc.endpoint_thetas == ref.endpoint_thetas
@@ -584,8 +582,7 @@ def test_continuation_on_scaled_disk_scales_unit_arcs(unit_disk):
 @pytest.mark.parametrize("a, b", [(0.3, 0.0), (0.0, 0.3), (0.2, -0.25)])
 def test_continuation_on_translated_disk_matches_build_arc(a, b):
     curve = SupportCurve((1.0, a), (b,))
-    seed = arcs.two_point_state(curve, 0.3, -0.3)
-    fam = arcs.continue_family(curve, seed, steps=6, ds=0.1)
+    fam = arcs.continue_family(curve, 0.3, -0.3, steps=6, ds=0.1)
     assert len(fam) == 6
     for arc in fam:
         ref = arcs.build_arc(curve, *arc.endpoint_thetas)
@@ -596,8 +593,7 @@ def test_continuation_on_translated_disk_matches_build_arc(a, b):
 
 
 def test_continuation_preserves_symmetry(ellipse_main):
-    seed = arcs.two_point_state(ellipse_main, 0.2, -0.2)
-    fam = arcs.continue_family(ellipse_main, seed, steps=12, ds=0.05)
+    fam = arcs.continue_family(ellipse_main, 0.2, -0.2, steps=12, ds=0.05)
     assert len(fam) == 12
     for arc in fam:
         lo, hi = arc.endpoint_thetas
@@ -607,8 +603,7 @@ def test_continuation_preserves_symmetry(ellipse_main):
 def test_continuation_dl_equals_k_da(ellipse_main):
     """ΔL ≈ k ΔA between consecutive arcs, second order in the step."""
     def worst_residual(ds, steps):
-        seed = arcs.two_point_state(ellipse_main, 0.3, -0.3)
-        fam = arcs.continue_family(ellipse_main, seed, steps=steps, ds=ds)
+        fam = arcs.continue_family(ellipse_main, 0.3, -0.3, steps=steps, ds=ds)
         worst = 0.0
         for a, b in zip(fam, fam[1:]):
             dl = b.length - a.length
@@ -624,9 +619,8 @@ def test_continuation_dl_equals_k_da(ellipse_main):
 
 
 def test_continuation_needs_perfect_seed(ellipse_main):
-    seed = arcs.TwoPointState(0.1, 0.9, 1.0, (0.0, 0.0))
     with pytest.raises(NotPerfect):
-        arcs.continue_family(ellipse_main, seed, steps=3, ds=0.05)
+        arcs.continue_family(ellipse_main, 0.1, 0.9, steps=3, ds=0.05)
 
 
 # --- vertex families ----------------------------------------------------------
@@ -660,3 +654,72 @@ def test_vertex_family_rejects_non_vertex(ellipse_main, unit_disk):
         arcs.vertex_family(ellipse_main, 0.3, [0.1])
     with pytest.raises(DegenerateVertex):
         arcs.vertex_family(unit_disk, 0.0, [0.1])
+
+
+# --- batched families against per-pair arcs -----------------------------------
+
+def _sum_spread(cos_c, sin_c, weight=1.0):
+    """Largest gap between two summation orders of Σ w(a cos kt + b sin kt).
+
+    Each order lies within γ_n·Σ|terms| of the exact sum (γ_n = nu/(1 − nu),
+    u the unit roundoff); n = 2M + 3 counts the 2(M + 1) products, the last
+    bit of their cos/sin entries and the final addition."""
+    n, u = 2 * len(cos_c) + 1, np.finfo(float).eps / 2.0
+    terms = np.abs(cos_c) + np.abs(sin_c)
+    return 2.0 * n * u / (1.0 - n * u) * float(np.sum(weight * terms))
+
+
+def assert_matches_per_pair(curve, fam):
+    """Each arc of a batched family against `build_arc` at its endpoints.
+
+    A batch of n pairs and a one-pair call differ only in the order in which
+    BLAS sums the trig series of the boundary sample (h, h′) and of the
+    moment's antiderivative m. With R ≥ |P| and c the chord:
+    - positions move by δP ≤ δh + δh′ (+ u·R for the cos/sin of θ);
+    - area A = ½(m(t_hi) − m(t_lo) + b × a) + c²g(τ), |g| ≤ π/8, c ≤ 2R:
+      δA ≤ δm + R·δP + 4c|g|·δP ≤ δm + (1 + π)R·δP;
+    - curvature 2 sin α/c and length cα/sin α, relatively:
+      2δP/c + (|cot α| + 1)·δα. The chord angle's own spread cancels between
+      the two endpoint angles, so δα ≤ 16πu is the angle arithmetic's
+      rounding in either run.
+    """
+    h, m, u = curve.h_series, curve._moment_series, np.finfo(float).eps / 2.0
+    k_h, k_m = np.arange(h.order + 1), np.arange(1, m.order + 1)
+    radius = float(np.sum((1 + k_h) * (np.abs(h.cos_c) + np.abs(h.sin_c))))
+    d_pos = (_sum_spread(h.cos_c, h.sin_c) + _sum_spread(h.cos_c, h.sin_c, k_h)
+             + u * radius)
+    d_area = (_sum_spread(m.cos_c[1:], m.sin_c[1:], 1.0 / k_m)
+              + (1.0 + np.pi) * radius * d_pos)
+    d_alpha = 16.0 * np.pi * u
+    assert len(fam) > 1
+    for arc in fam:
+        ref = arcs.build_arc(curve, *arc.endpoint_thetas)
+        assert (arc.kind, arc.endpoint_thetas, arc.contained) == \
+            (ref.kind, ref.endpoint_thetas, ref.contained)
+        alpha = 0.5 * ref.length * abs(ref.curvature)
+        chord = (2.0 * np.sin(alpha) / abs(ref.curvature) if ref.curvature
+                 else ref.length)
+        cot = 1.0 / np.tan(alpha) if alpha else 0.0
+        rel = 2.0 * d_pos / chord + (cot + 1.0) * d_alpha
+        assert abs(arc.enclosed_area - ref.enclosed_area) <= d_area
+        assert abs(arc.curvature - ref.curvature) <= rel * abs(ref.curvature)
+        assert abs(arc.length - ref.length) <= rel * ref.length
+
+
+ASYMMETRIC = SupportCurve((1.0, 0.05, 0.03), (0.0, 0.02)).normalized_to(np.pi)
+
+
+def test_continued_family_matches_per_pair_arcs(ellipse_main):
+    assert_matches_per_pair(ellipse_main, arcs.continue_family(
+        ellipse_main, 0.3, -0.3, steps=12, ds=0.05))
+    [s2] = arcs.scan_arc_roots(ASYMMETRIC, 0.3)
+    assert_matches_per_pair(ASYMMETRIC, arcs.continue_family(
+        ASYMMETRIC, 0.3, s2, steps=10, ds=0.03))
+
+
+def test_vertex_family_matches_per_pair_arcs(ellipse_main, fourier_domain):
+    offsets = [0.02, 0.05, 0.1, 0.2, 0.3]
+    for curve, vertex in ((ellipse_main, 0.0), (ellipse_main, np.pi / 2.0),
+                          (fourier_domain, 0.0),
+                          (ASYMMETRIC, find_vertices(ASYMMETRIC)[0])):
+        assert_matches_per_pair(curve, arcs.vertex_family(curve, vertex, offsets))

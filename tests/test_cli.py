@@ -55,6 +55,11 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
                   '{"preset": "disk", "params": {"radius": [1]}}'],
                  ["domain-info", "--spec-json",
                   '{"preset": "ellipse", "params": {"a": true, "b": 1}}'],
+                 ["domain-info", "--preset", "ellipse", "--a", "2", "--spec-json",
+                  '{"preset": "ellipse", "params": [1]}'],
+                 ["domain-info", "--preset", "ellipse", "--a", "2",
+                  "--spec-json", "[1]"],
+                 ["domain-info", "--preset", "disk", "--spec-json", "[1]"],
                  ["domain-info", "--preset", "ellipse", "--a", "nan", "--b", "1"],
                  ["domain-info", "--preset", "disk", "--radius", "nan"],
                  ["domain-info", "--preset", "ellipse", "--a", "2"],
@@ -72,6 +77,8 @@ def test_missing_domain_exits_2(capsys):
     code, _, err = run_cli(["domain-info"], capsys)
     assert code == 2
     assert "no domain" in err
+    # built once per process, on the first call
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_profile_disk_has_quarter_pi_row(tmp_path, capsys):
@@ -215,6 +222,13 @@ def test_flags_override_spec_file(tmp_path, capsys):
             capsys)
         assert code == 0
         assert json.loads(out)["area"] == pytest.approx(np.pi, abs=1e-9)
+    # the same merge for the disk preset: the spec's radius, unless --radius
+    disk_spec = '{"preset": "disk", "params": {"radius": 2}}'
+    for flags, radius in (([], 2.0), (["--radius", "3"], 3.0)):
+        code, out, _ = run_cli(["domain-info", "--preset", "disk",
+                                "--spec-json", disk_spec, *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["area"] == pytest.approx(np.pi * radius ** 2)
 
 
 def test_experiment_cli_grid_reaches_oracle(monkeypatch, capsys):
@@ -288,3 +302,13 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def test_public_api_names_resolve():
+    """Every name in `isoperim.__all__` exists, so a star import runs."""
+    import isoperim
+
+    assert [n for n in isoperim.__all__ if not hasattr(isoperim, n)] == []
+    namespace = {}
+    exec("from isoperim import *", namespace)
+    assert set(isoperim.__all__) <= set(namespace)

@@ -202,7 +202,7 @@ def test_perturbed_domain_area_exact():
 def test_perturbed_domain_zero_is_circle():
     dom = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 0.0)
     u = np.linspace(0.0, TWO_PI, 64)
-    assert np.allclose(dom.r(u), 1.0, atol=1e-15)
+    assert np.allclose(dom.radius_series(u), 1.0, atol=1e-15)
 
 
 def test_raw_area_growth_quadratic():
