@@ -24,7 +24,7 @@ import numpy as np
 from . import disk as diskmod
 from . import profile as profilemod
 from ._roots import sign_change_roots
-from .errors import (AreaNormalizationFailure, FitIllConditioned,
+from .errors import (AreaNormalizationFailure, FitIllConditioned, IsoperimError,
                      NonConvexPerturbation, OracleFailure, OutOfRange)
 from .geometry import RadialCurve, TWO_PI
 from .trig import TrigSeries, fit_periodic
@@ -256,15 +256,13 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
         raise FitIllConditioned(f"s values must be positive, got {s_values[1:]}")
     if len(set(s_values[1:])) < 3:
         raise FitIllConditioned("need at least three distinct nonzero s values")
-    if config.n_s1 < 1:
-        raise ValueError(f"n_s1 must be at least 1, got {config.n_s1}")
     builder = domain_builder or (lambda s: build_perturbed_domain(f, s))
 
     def profile_at(s):
         curve = builder(s)
         try:
             return profilemod.general_profile_oracle(curve, area, config.n_s1)
-        except Exception as exc:  # noqa: BLE001 - surfaced with context
+        except IsoperimError as exc:
             raise OracleFailure(f"profile oracle failed at s={s}: {exc}") from exc
 
     values = tuple(profile_at(s) for s in s_values)

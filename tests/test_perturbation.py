@@ -5,9 +5,10 @@ from scipy.integrate import quad
 
 from isoperim import disk
 from isoperim import perturbation as pert
+from isoperim import profile as prof
 
-from isoperim.errors import (FitIllConditioned, NonConvexPerturbation,
-                             OutOfRange)
+from isoperim.errors import (FitIllConditioned, NoArcAtArea, NonConvexPerturbation,
+                             OracleFailure, OutOfRange)
 
 TWO_PI = 2.0 * np.pi
 
@@ -289,3 +290,34 @@ def test_experiment_refuses_empty_slicing():
     with pytest.raises(ValueError, match="n_s1 must be at least 1, got 0"):
         pert.profile_decrease_experiment(pert.PerturbationField.mode(2), 1.0,
                                          pert.ExperimentConfig(n_s1=0))
+
+
+def _experiment_on_a_stub_oracle(monkeypatch, oracle):
+    """Run the experiment with `oracle(s)` in place of the profile oracle:
+    the domain builder hands the oracle s itself."""
+    monkeypatch.setattr(prof, "general_profile_oracle",
+                        lambda s, area, n_s1: oracle(s))
+    return pert.profile_decrease_experiment(
+        pert.PerturbationField.mode(2), 1.0,
+        pert.ExperimentConfig(s_grid=(1e-3, 2e-3, 3e-3)), domain_builder=lambda s: s)
+
+
+def test_experiment_names_the_s_of_an_oracle_refusal(monkeypatch):
+    def oracle(s):
+        if s == 2e-3:
+            raise NoArcAtArea("forced")
+        return disk.profile(1.0)
+
+    with pytest.raises(OracleFailure, match=r"profile oracle failed at s=0\.002: "
+                                            r"forced") as info:
+        _experiment_on_a_stub_oracle(monkeypatch, oracle)
+    assert type(info.value.__cause__) is NoArcAtArea
+
+
+def test_experiment_lets_a_bug_in_the_oracle_through(monkeypatch):
+    # only the package's own errors become OracleFailure (exit 4)
+    def oracle(s):
+        raise TypeError("forced")
+
+    with pytest.raises(TypeError, match="forced"):
+        _experiment_on_a_stub_oracle(monkeypatch, oracle)
