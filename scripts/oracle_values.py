@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""The profile oracle on a fixed set of 55 calls, written to JSON.
+
+The calls:
+  * the five s > 0 domains of the profile-decrease experiments of cos 2u at
+    contact half-angles b = 0.85, 1.0 and 1.2, of cos 3u at b = 0.9 and of
+    cos 4u at its critical area, each at its experiment's area;
+  * the ellipses of aspect 1.05, 1.6, 3 and 6, the two-mode domain
+    (1, 0, 0.1, 0, 0.003) and the asymmetric domain (1, 0.05, 0.03), (0, 0.02),
+    the last two normalized to area pi, each at A in {5e-3, 0.05, 0.5, 1.2, pi/2}.
+
+Per call it records the value or the type of the refusal, and how many
+refinements the oracle dropped (its `isoperim` debug log). With
+`--against OTHER.json` it also prints the largest value change against
+another run and every call whose refusal or drop count differs.
+"""
+
+import argparse
+import json
+import logging
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from isoperim import disk
+from isoperim import perturbation as pert
+from isoperim import profile as prof
+from isoperim.errors import IsoperimError
+from isoperim.geometry import SupportCurve
+
+S_GRID = pert.ExperimentConfig().s_grid
+AREAS = (5e-3, 0.05, 0.5, 1.2, np.pi / 2.0)
+
+
+def cases():
+    """(name, curve, area) for each of the 55 calls."""
+    experiments = [(f"cos {n}u b={b}", n, disk.theta_to_area(b))
+                   for n, b in ((2, 0.85), (2, 1.0), (2, 1.2), (3, 0.9))]
+    experiments.append(("cos 4u critical", 4, pert.find_mode_roots(4)[0].area))
+    for name, n, area in experiments:
+        for s in S_GRID:
+            yield (f"{name} s={s:g}",
+                   pert.build_perturbed_domain(pert.PerturbationField.mode(n), s),
+                   area)
+    domains = [(f"ellipse {aspect:g}",
+                SupportCurve.ellipse(np.sqrt(aspect), 1.0 / np.sqrt(aspect)))
+               for aspect in (1.05, 1.6, 3.0, 6.0)]
+    domains += [
+        ("two-mode", SupportCurve((1.0, 0.0, 0.1, 0.0, 0.003)).normalized_to(np.pi)),
+        ("asymmetric", SupportCurve((1.0, 0.05, 0.03), (0.0, 0.02)).normalized_to(np.pi))]
+    for name, curve in domains:
+        for area in AREAS:
+            yield f"{name} A={area:.6g}", curve, area
+
+
+class DropCounter(logging.Handler):
+    """Counts the oracle's "refinement dropped" debug records."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "refinement dropped" in record.getMessage()
+
+
+def run() -> list:
+    logger, counter = logging.getLogger("isoperim"), DropCounter()
+    level = logger.level
+    logger.addHandler(counter)
+    logger.setLevel(logging.DEBUG)
+    rows = []
+    try:
+        for name, curve, area in cases():
+            counter.count = 0
+            row = {"case": name, "area": area, "value": None, "refusal": None}
+            try:
+                row["value"] = prof.general_profile_oracle(curve, area)
+            except IsoperimError as exc:
+                row["refusal"] = type(exc).__name__
+            row["dropped"] = counter.count
+            rows.append(row)
+    finally:
+        logger.removeHandler(counter)
+        logger.setLevel(level)
+    return rows
+
+
+def compare(rows: list, other: list):
+    """Print the largest value change and every changed refusal or drop count."""
+    if [r["case"] for r in rows] != [r["case"] for r in other]:
+        raise SystemExit("the two runs hold different calls")
+    worst, where = 0.0, None
+    for new, old in zip(rows, other):
+        if new["value"] is not None and old["value"] is not None:
+            change = abs(new["value"] - old["value"])
+            if change > worst or where is None:
+                worst, where = change, new["case"]
+        for key in ("refusal", "dropped"):
+            if new[key] != old[key]:
+                print(f"{new['case']}: {key} {old[key]} -> {new[key]}")
+    print(f"largest value change: {worst:.3e} ({where})")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="oracle_values.json")
+    parser.add_argument("--against", help="an earlier run's JSON to compare with")
+    args = parser.parse_args()
+    rows = run()
+    Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
+    refused = sum(r["refusal"] is not None for r in rows)
+    print(f"wrote {args.out}: {len(rows)} calls, {refused} refused, "
+          f"{sum(r['dropped'] for r in rows)} refinements dropped")
+    if args.against:
+        compare(rows, json.loads(Path(args.against).read_text(encoding="utf-8")))
+
+
+if __name__ == "__main__":
+    main()

@@ -338,24 +338,17 @@ def _sample_containment(curve, a_pt, b_pt, alpha):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
-def _two_point_h(curve: PlaneBoundary, s1, s2):
-    """h = (C1 − C2)·(T1 − T2) on 1-D arrays: f's genuine zeros, perfect
-    chords included, without its zero at anti-parallel normals."""
-    s = curve.sample(np.concatenate([s1, s2]))
-    d, t = (np.subtract(*np.split(x, 2)) for x in (s.position, s.tangent))
-    return d[:, 0] * t[:, 0] + d[:, 1] * t[:, 1]
-
-
 def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
     s1 may be a 1-D array of n slices spaced 2π/n apart, giving one root
     list per slice; a scalar s1 gives its list alone. The scan runs on h
-    (`_two_point_h`) over N uniform boundary nodes that hold every s1,
+    (see the module docstring) over N uniform nodes that hold every s1,
     s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at or above
     n_scan (576 for 96 slices). One `curve.sample` gives h on every node
     pair; each slice scans the other N − 1 nodes in turn, and
-    `sign_change_roots` refines every sign-changing cell.
+    `sign_change_roots` refines every sign-changing cell, reading the s1 end
+    from that sample and sampling only s2.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -378,8 +371,12 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     vals += np.einsum("kd,kdc->kc", t[at], turn(p))
     np.subtract(turn(a), vals, out=vals)
     vals += a[at, None]
-    row, roots = sign_change_roots(lambda x, k: _two_point_h(curve, s1_arr[k], x),
-                                   turn(nodes, TWO_PI), vals, 1e-13)
+
+    def h(x, k):  # at (s1[k], x), the s1 end read from the node sample
+        end = curve.sample(x)
+        return _dot(s.position[at[k]] - end.position, s.tangent[at[k]] - end.tangent)
+
+    row, roots = sign_change_roots(h, turn(nodes, TWO_PI), vals, 1e-13)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
@@ -412,16 +409,16 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
     Convergence is judged on the Newton step, not only on |f|: near a vertex
     ∂f/∂s2 scales like the cube of the endpoint offset, so a fixed |f| floor
     alone would leave the root orders of magnitude less accurate than it.
-    An element stops when the step falls below 1e-14, or once |f| is below
-    NEWTON_F_TOL and the step no longer shrinks: f then only random-walks
-    at its rounding floor.
+    An element stops at the point it has just evaluated once the step from
+    there is below 1e-14·max(1, |s2|), or |f| is below NEWTON_F_TOL and the
+    step no longer shrinks: f then only random-walks at its rounding floor.
+    It returns its evaluated point of smallest |f|.
     """
     s1_b, guess = np.broadcast_arrays(np.asarray(s1, dtype=float),
                                       np.asarray(s2_guess, dtype=float))
     s1_v, s2 = s1_b.ravel(), guess.ravel().copy()
     best_f, best_s2 = np.full(s2.shape, np.inf), s2.copy()
     prev_step = np.full(s2.shape, np.inf)
-    last = np.zeros(s2.shape, dtype=bool)   # evaluate once more, then stop
     active = np.ones(s2.shape, dtype=bool)
     coincident = np.zeros(s2.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
@@ -435,13 +432,12 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
         g2 = g2 * w2  # to a parameter derivative
         better = np.abs(f) < best_f[idx]
         best_f[idx[better]], best_s2[idx[better]] = np.abs(f[better]), s2[idx[better]]
-        stop = last[idx] | (f == 0.0) | (np.abs(g2) < 1e-300)
-        step = f / np.where(stop, 1.0, g2)
+        step = f / np.where(np.abs(g2) < 1e-300, np.inf, g2)  # flat: no step
+        stop = np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(s2[idx]))
         stop |= (np.abs(f) < NEWTON_F_TOL) & (np.abs(step) >= prev_step[idx])
         go = idx[~stop]
         s2[go] -= step[~stop]
         prev_step[go] = np.abs(step[~stop])
-        last[go] = prev_step[go] < 1e-14 * np.maximum(1.0, np.abs(s2[go]))
         active[idx[stop]] = False
     out = np.where((best_f < NEWTON_F_TOL) & ~coincident, best_s2, np.nan)
     return out.reshape(s1_b.shape)

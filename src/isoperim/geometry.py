@@ -140,10 +140,10 @@ class SupportCurve(PlaneBoundary):
         """Enclosed area, exact for Fourier data (Parseval on ½∮h(h+h''))."""
         self.require_convex()
         h = self.h_series
-        k = np.arange(h.order + 1, dtype=float)
-        mult = 1.0 - k * k
+        # from mode 2: mode 1's factor 1 − k² is 0, and 0·(1e155)² would be NaN
+        k = np.arange(2, h.order + 1, dtype=float)
         quad = h.cos_c[0] ** 2 * TWO_PI + np.pi * np.sum(
-            mult[1:] * (h.cos_c[1:] ** 2 + h.sin_c[1:] ** 2))
+            (1.0 - k * k) * (h.cos_c[2:] ** 2 + h.sin_c[2:] ** 2))
         return float(quad / 2.0)
 
     def perimeter(self) -> float:
@@ -393,10 +393,16 @@ def domain_from_spec(spec: dict) -> SupportCurve:
         for name in names:
             if not is_number(params[name]):
                 raise ValueError(f"{preset} param {name} must be a number")
-        return build(*(float(params[name]) for name in names))
-    if "support_cos" in spec:
+        curve = build(*(float(params[name]) for name in names))
+    elif "support_cos" in spec:
         coeffs = [spec["support_cos"], spec.get("support_sin", [])]
         if not all(isinstance(c, list) and all(map(is_number, c)) for c in coeffs):
             raise ValueError("support_cos and support_sin must be lists of numbers")
-        return SupportCurve(*map(tuple, coeffs))
-    raise ValueError("domain spec needs 'preset' or 'support_cos'")
+        curve = SupportCurve(*map(tuple, coeffs))
+    else:
+        raise ValueError("domain spec needs 'preset' or 'support_cos'")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, inf − inf or 0
+        area = curve.area()
+    if not 0.0 < area < np.inf:
+        raise ValueError(f"domain area {area} is not a finite positive number")
+    return curve

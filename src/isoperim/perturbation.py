@@ -46,16 +46,11 @@ class PerturbationField:
     fourier_sin: tuple = ()
 
     @staticmethod
-    def mode(n: int, phase: str = "cos") -> "PerturbationField":
-        """cos(nu), or sin(nu) for phase="sin"."""
+    def mode(n: int) -> "PerturbationField":
+        """cos(nu); PerturbationField((), (0.0,) * (n - 1) + (1.0,)) is sin(nu)."""
         if n < 1:
             raise ValueError("mode index must be >= 1")
-        if phase not in ("cos", "sin"):
-            raise ValueError(f"phase must be 'cos' or 'sin', got {phase!r}")
-        coeffs = (0.0,) * (n - 1) + (1.0,)
-        if phase == "cos":
-            return PerturbationField(coeffs, ())
-        return PerturbationField((), coeffs)
+        return PerturbationField((0.0,) * (n - 1) + (1.0,), ())
 
     def _series(self) -> TrigSeries:
         return TrigSeries(np.concatenate([[0.0], np.asarray(self.fourier_cos, float)]),

@@ -353,12 +353,11 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     on every segment at once. It starts from the Newton step of the end
     nearer the target, or from the secant of the ends where that step
     leaves the segment, and keeps the segment as a bracket: a Newton step
-    that leaves the bracket, or that follows a miss |A − target| which did
-    not halve, becomes a bisection. Each iterate's s2 comes from the
-    corrector, seeded by the tangent predictor from the lane's previous
-    iterate after a Newton step and by the segment's seed (below) after a
-    bisection or at the first iterate; every derivative comes from the
-    iterate's own `arc_batch` sample. A lane stops once its Newton step is
+    that leaves the bracket becomes a bisection. Each iterate's s2 comes
+    from the corrector, seeded by the tangent predictor from the lane's
+    previous iterate after a Newton step and by the segment's seed (below)
+    after a bisection or at the first iterate; every derivative comes from
+    the iterate's own `arc_batch` sample. A lane stops once its Newton step is
     below 1e-14 + XRTOL·|s1| (the old solve's s1 accuracy), its bracket is
     narrower than that, or its miss lies within the area that the
     corrector's |f| tolerance is worth and the step no longer shrinks. It
@@ -443,7 +442,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
         secant = s1_a - fa * width / (fb - fa)
     x = np.where(within(x, lanes), x, secant)
     seed = seed_at(x, lanes)
-    prev_f, prev_step = np.abs(best[0]), np.full(n, np.inf)
+    prev_step = np.full(n, np.inf)
     # lanes with a sign change between their ends iterate
     idx = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0)
                          & np.array([exc is None for exc in failures], dtype=bool))
@@ -470,9 +469,9 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
                 | (np.abs(xb[idx] - xa[idx]) < tol)
                 | noise & (np.abs(step) >= prev_step[idx]))
         newton = xi - step
-        newton_ok = within(newton, idx) & (noise | (np.abs(f) <= 0.5 * prev_f[idx]))
+        newton_ok = within(newton, idx)
         nxt = np.where(newton_ok, newton, 0.5 * (xa[idx] + xb[idx]))
-        prev_f[idx], prev_step[idx] = np.abs(f), np.abs(step)
+        prev_step[idx] = np.abs(step)
         # the next corrector seed: the tangent predictor from this iterate
         # after a Newton step, the segment's own seed after a bisection
         tangent = vals[2] + vals[3] * (nxt - xi)

@@ -553,6 +553,32 @@ def test_corrector_stops_at_rounding_floor(monkeypatch):
     assert np.all(np.abs(real_eval(curve, s1, got)[0]) < arcs.NEWTON_F_TOL)
 
 
+def test_corrector_stops_at_its_converged_point(monkeypatch, ellipse_main):
+    # seeded at its own root (s2 = π − 0.3), the first Newton step is already
+    # below 1e-14·max(1, |s2|): the corrector returns the seed after one
+    # evaluation
+    root = arcs._correct_s2(ellipse_main, 0.3, arcs.scan_arc_roots(ellipse_main, 0.3)[0])
+    calls = []
+    real_eval = arcs.two_point_eval
+    monkeypatch.setattr(arcs, "two_point_eval",
+                        lambda *args: calls.append(1) or real_eval(*args))
+    assert arcs._correct_s2(ellipse_main, 0.3, root) == root
+    assert len(calls) == 1
+
+
+def test_scan_samples_each_node_once(monkeypatch, ellipse_main):
+    # the 96-slice scan samples its 576 nodes once; the bracket solve reads
+    # the s1 end from that sample and samples only s2. Measured: 1,348
+    # boundary points in all (576 nodes, 772 bracket points); the bound
+    # allows 10% over that
+    points = []
+    real_sample = SupportCurve.sample
+    monkeypatch.setattr(SupportCurve, "sample", lambda self, t: points.append(
+        np.size(t)) or real_sample(self, t))
+    arcs.scan_arc_roots(ellipse_main, (np.arange(96) + 0.5) * TWO_PI / 96)
+    assert points[0] == 576 and sum(points) <= 1483
+
+
 # --- continuation ------------------------------------------------------------
 
 def test_continuation_on_disk_routes_to_closed_form(unit_disk):

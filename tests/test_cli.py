@@ -81,6 +81,28 @@ def test_missing_domain_exits_2(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_domain_info_huge_translation_is_a_unit_disk(capsys):
+    # mode 1 is a translation: its factor 1 − k² = 0 in the area must not
+    # meet the square of 1e155, which overflows to inf
+    code, out, _ = run_cli(["domain-info", "--spec-json",
+                            '{"support_cos": [1, 1e155]}'], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["area"] == np.pi and payload["is_disk"] is True
+    assert payload["pestov_ionin"]["bound"] == 1.0
+
+
+@pytest.mark.parametrize("spec, area", [
+    ('{"support_cos": [1e200]}', "inf"),
+    ('{"support_cos": [1e-200, 0, 1e-202]}', "0.0"),
+], ids=["overflow", "underflow"])
+def test_domain_info_refuses_area_out_of_range(capsys, spec, area):
+    code, out, err = run_cli(["domain-info", "--spec-json", spec], capsys)
+    assert code == 2 and not out
+    assert err.startswith(f"config error: domain area {area} is not a finite "
+                          "positive number")
+
+
 def test_profile_disk_has_quarter_pi_row(tmp_path, capsys):
     out_file = tmp_path / "profile.csv"
     code, _, _ = run_cli(

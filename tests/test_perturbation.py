@@ -44,7 +44,7 @@ def test_l_cos2_quarter_pi_is_sin2():
 
 def test_l_translation_fields_vanish():
     for field in (pert.PerturbationField.mode(1),
-                  pert.PerturbationField.mode(1, phase="sin")):
+                  pert.PerturbationField((), (1.0,))):
         for b in (0.2, 0.8, 1.4):
             u = np.linspace(0.0, TWO_PI, 65)
             assert np.max(np.abs(pert.first_variation_l(field, b, u))) < 1e-12
@@ -226,12 +226,6 @@ def test_translated_disk_is_rigid():
     u = np.linspace(0.0, TWO_PI, 256)
     pos = td.sample(u).position - np.array([0.3, 0.0])
     assert np.allclose(np.hypot(pos[:, 0], pos[:, 1]), 1.0, atol=1e-12)
-
-
-def test_mode_refuses_unknown_phase():
-    assert pert.PerturbationField.mode(2, "sin").fourier_sin == (0.0, 1.0)
-    with pytest.raises(ValueError, match="phase"):
-        pert.PerturbationField.mode(2, "cosine")
 
 
 # --- aggregate second variation ------------------------------------------------------

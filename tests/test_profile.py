@@ -682,7 +682,7 @@ def test_array_matching_equals_the_root_loop(monkeypatch, name, areas,
 def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
     """Boundary evaluations of one oracle call on the critical cos 4u domain.
 
-    Measured: 51 `two_point_eval` calls at s = 1e-3 and 18 at s = 5e-3.
+    Measured: 43 `two_point_eval` calls at s = 1e-3 and 17 at s = 5e-3.
     The bounds allow 10% over the measurement (rounded up), for solver
     steps that rounding moves.
     """
@@ -691,7 +691,7 @@ def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
     evaluate = arcs.two_point_eval
     monkeypatch.setattr(arcs, "two_point_eval",
                         lambda *args: calls.append(1) or evaluate(*args))
-    for s, bound in ((1e-3, 57), (5e-3, 20)):
+    for s, bound in ((1e-3, 48), (5e-3, 19)):
         curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
         calls.clear()
         prof.general_profile_oracle(curve, area)
@@ -702,10 +702,11 @@ def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
 def test_refinement_work_on_the_ellipse(monkeypatch, ellipse_main, area):
     """Kernel and corrector calls of one `_refine_on_branch` on the √2
     ellipse: one `arc_batch` of the segment ends, then one corrector call and
-    one `arc_batch` per Newton iterate. Measured: 5 `arc_batch` and 4
-    `_correct_s2` calls at A = 1 (8 segments) and at π/2 (16). The bounds
+    one `arc_batch` per Newton iterate. Measured: 5 `arc_batch`, 4
+    `_correct_s2` and 4 `two_point_eval` calls at A = 1 (8 segments) and at
+    π/2 (16): each corrector call stops at its first evaluation. The bounds
     allow 10% over the measurement, rounded up."""
-    counts = {"arc_batch": 0, "_correct_s2": 0}
+    counts = {"arc_batch": 0, "_correct_s2": 0, "two_point_eval": 0}
     for name in counts:
         def counted(*args, name=name, fn=getattr(arcs, name)):
             counts[name] += 1
@@ -723,6 +724,7 @@ def test_refinement_work_on_the_ellipse(monkeypatch, ellipse_main, area):
     prof.general_profile_oracle(ellipse_main, area)
     [work] = seen
     assert work["arc_batch"] <= 6 and work["_correct_s2"] <= 5
+    assert work["two_point_eval"] <= 5
 
 
 def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):

@@ -11,7 +11,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def run_script(monkeypatch, name, *args):
     monkeypatch.setattr(sys, "argv", [name, *args])
     monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts prepend src/
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return runpy.run_path(str(SCRIPTS / name), run_name="__main__")
 
 
 def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
@@ -36,3 +36,17 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
                         "cos4u_second_order": "second_order_decrease",
                         "translation_control": "no_decrease"}
     assert "wrote" in capsys.readouterr().out
+
+    values = tmp_path / "oracle_values.json"
+    script = run_script(monkeypatch, "oracle_values.py", "--out", str(values))
+    rows = json.loads(values.read_text(encoding="utf-8"))
+    assert len(rows) == 55
+    assert [(r["case"], r["refusal"]) for r in rows if r["refusal"]] == [
+        ("asymmetric A=0.005", "NoArcAtArea")]
+    assert sum(r["dropped"] for r in rows) == 4
+    capsys.readouterr()
+    moved = [dict(r, dropped=r["dropped"] + 1) if r["refusal"] else r for r in rows]
+    script["compare"](moved, rows)
+    assert capsys.readouterr().out.splitlines() == [
+        "asymmetric A=0.005: dropped 0 -> 1",
+        "largest value change: 0.000e+00 (cos 2u b=0.85 s=0.001)"]
