@@ -12,7 +12,11 @@ The calls:
 Per call it records the value or the type of the refusal, and how many
 refinements the oracle dropped (its `isoperim` debug log). With
 `--against OTHER.json` it also prints the largest value change against
-another run and every call whose refusal or drop count differs.
+another run and every call whose refusal or drop count differs. With
+`--batched` it also runs the 55 calls as 11 calls of `oracle_pairs`, one
+per batch (each experiment's five domains, then each domain at its five
+areas), and prints their refusals and dropped refinements, the largest value
+change from one call per pair, and every refusal that differs.
 """
 
 import argparse
@@ -28,23 +32,22 @@ import numpy as np
 from isoperim import disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
-from isoperim.errors import IsoperimError
 from isoperim.geometry import SupportCurve
 
 S_GRID = pert.ExperimentConfig().s_grid
 AREAS = (5e-3, 0.05, 0.5, 1.2, np.pi / 2.0)
 
 
-def cases():
-    """(name, curve, area) for each of the 55 calls."""
+def batches():
+    """The 55 calls as 11 batches of (name, curve, area): each experiment's
+    five domains at its area, then each domain (one curve) at its five areas."""
     experiments = [(f"cos {n}u b={b}", n, disk.theta_to_area(b))
                    for n, b in ((2, 0.85), (2, 1.0), (2, 1.2), (3, 0.9))]
     experiments.append(("cos 4u critical", 4, pert.find_mode_roots(4)[0].area))
     for name, n, area in experiments:
-        for s in S_GRID:
-            yield (f"{name} s={s:g}",
-                   pert.build_perturbed_domain(pert.PerturbationField.mode(n), s),
-                   area)
+        yield [(f"{name} s={s:g}",
+                pert.build_perturbed_domain(pert.PerturbationField.mode(n), s), area)
+               for s in S_GRID]
     domains = [(f"ellipse {aspect:g}",
                 SupportCurve.ellipse(np.sqrt(aspect), 1.0 / np.sqrt(aspect)))
                for aspect in (1.05, 1.6, 3.0, 6.0)]
@@ -52,8 +55,7 @@ def cases():
         ("two-mode", SupportCurve((1.0, 0.0, 0.1, 0.0, 0.003)).normalized_to(np.pi)),
         ("asymmetric", SupportCurve((1.0, 0.05, 0.03), (0.0, 0.02)).normalized_to(np.pi))]
     for name, curve in domains:
-        for area in AREAS:
-            yield f"{name} A={area:.6g}", curve, area
+        yield [(f"{name} A={area:.6g}", curve, area) for area in AREAS]
 
 
 class DropCounter(logging.Handler):
@@ -67,30 +69,37 @@ class DropCounter(logging.Handler):
         self.count += "refinement dropped" in record.getMessage()
 
 
-def run() -> list:
+def run(batched=False) -> tuple:
+    """(rows, dropped): one row per call, and the refinements dropped by each
+    oracle call, which is one call per pair or, if `batched`, one per batch.
+    A row's "dropped" is its call's count, None when batched."""
     logger, counter = logging.getLogger("isoperim"), DropCounter()
     level = logger.level
     logger.addHandler(counter)
     logger.setLevel(logging.DEBUG)
-    rows = []
+    rows, dropped = [], []
     try:
-        for name, curve, area in cases():
-            counter.count = 0
-            row = {"case": name, "area": area, "value": None, "refusal": None}
-            try:
-                row["value"] = prof.general_profile_oracle(curve, area)
-            except IsoperimError as exc:
-                row["refusal"] = type(exc).__name__
-            row["dropped"] = counter.count
-            rows.append(row)
+        for batch in batches():
+            for call in [batch] if batched else [[case] for case in batch]:
+                counter.count = 0
+                values, errors = prof.oracle_pairs([c for _, c, _ in call],
+                                                   [a for _, _, a in call], prof.N_S1)
+                for (name, _, area), value, exc in zip(call, values, errors):
+                    refused = exc is not None
+                    rows.append({"case": name, "area": area,
+                                 "value": None if refused else float(value),
+                                 "refusal": type(exc).__name__ if refused else None,
+                                 "dropped": None if batched else counter.count})
+                dropped.append(counter.count)
     finally:
         logger.removeHandler(counter)
         logger.setLevel(level)
-    return rows
+    return rows, dropped
 
 
-def compare(rows: list, other: list):
-    """Print the largest value change and every changed refusal or drop count."""
+def compare(rows: list, other: list, keys=("refusal", "dropped")):
+    """Print the largest value change and every changed refusal or drop count
+    (the entries `keys`)."""
     if [r["case"] for r in rows] != [r["case"] for r in other]:
         raise SystemExit("the two runs hold different calls")
     worst, where = 0.0, None
@@ -99,7 +108,7 @@ def compare(rows: list, other: list):
             change = abs(new["value"] - old["value"])
             if change > worst or where is None:
                 worst, where = change, new["case"]
-        for key in ("refusal", "dropped"):
+        for key in keys:
             if new[key] != old[key]:
                 print(f"{new['case']}: {key} {old[key]} -> {new[key]}")
     print(f"largest value change: {worst:.3e} ({where})")
@@ -109,14 +118,23 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="oracle_values.json")
     parser.add_argument("--against", help="an earlier run's JSON to compare with")
+    parser.add_argument("--batched", action="store_true",
+                        help="also run the calls as 11 batches and compare")
     args = parser.parse_args()
-    rows = run()
+    rows, dropped = run()
     Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
     refused = sum(r["refusal"] is not None for r in rows)
     print(f"wrote {args.out}: {len(rows)} calls, {refused} refused, "
-          f"{sum(r['dropped'] for r in rows)} refinements dropped")
+          f"{sum(dropped)} refinements dropped")
     if args.against:
         compare(rows, json.loads(Path(args.against).read_text(encoding="utf-8")))
+    if args.batched:
+        batched, dropped = run(batched=True)
+        print(f"batched: {len(dropped)} calls, "
+              + ", ".join(f"{r['case']} refused ({r['refusal']})"
+                          for r in batched if r["refusal"])
+              + f", {sum(dropped)} refinements dropped")
+        compare(batched, rows, keys=("refusal",))
 
 
 if __name__ == "__main__":

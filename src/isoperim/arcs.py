@@ -39,7 +39,8 @@ NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # boundary nodes per turn of the root scan, at least
 SCAN_POINTS = 512
-# max |f| below which a boundary counts as a circle (f ≡ 0 there)
+# max |f| below which a boundary counts as a circle (f ≡ 0 there), per unit
+# of the radius √(|Ω|/π) of the disk of equal area
 CIRCLE_RESIDUAL_TOL = 1e-10
 
 
@@ -62,18 +63,21 @@ class PerfectArc:
     ortho_residual: float
 
 
-def two_point_eval(curve: PlaneBoundary, s1, s2) -> tuple:
+def two_point_eval(curve: PlaneBoundary, s1, s2, domain=None) -> tuple:
     """(f, ∂f/∂s1, ∂f/∂s2, speed at s1, speed at s2) from one boundary sample.
 
     f = (C1 − C2)·(N1 + N2). s1 and s2 broadcast against each other; each is
-    sampled at its own shape. With outward normal N = (cos θ, sin θ) and T
-    the CCW unit tangent, dC/ds = T and dN/ds = κT, so the arclength partials
-    are
+    sampled at its own shape, on a stacked curve (`PlaneBoundary.stack`) at
+    the domain index `domain`, which broadcasts against both. With outward
+    normal N = (cos θ, sin θ) and T the CCW unit tangent, dC/ds = T and
+    dN/ds = κT, so the arclength partials are
         ∂f/∂s1 = T1·N2 + κ1 (C1 − C2)·T1,
         ∂f/∂s2 = −T2·N1 + κ2 (C1 − C2)·T2.
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
-    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]))
+    rows = () if domain is None else (np.concatenate(
+        [np.broadcast_to(domain, x.shape).ravel() for x in (s1, s2)]),)
+    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]), *rows)
     (c1, c2), (t1, t2), (n1, n2), (k1, k2), (w1, w2) = (
         (a[:s1.size].reshape(s1.shape + a.shape[1:]),
          a[s1.size:].reshape(s2.shape + a.shape[1:]))
@@ -209,7 +213,7 @@ class ArcBatch(NamedTuple):
         return f_lo * wa, f_hi * wb, a_lo * wa, a_hi * wb
 
 
-def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
+def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=None) -> ArcBatch:
     """Arc kernel: the perfect arcs certified by f(t_lo, t_hi) ≈ 0, on arrays.
 
     The enclosed region is the loop [boundary t_lo → t_hi, arc back]; its
@@ -220,12 +224,14 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
     and the length |chord|·α/sin α. This stays well-conditioned arbitrarily
     close to the straight-chord limit, where the center construction (the
     intersection of the boundary tangent lines) degenerates. Callers keep
-    0 < t_hi − t_lo < 2π.
+    0 < t_hi − t_lo < 2π. On a stacked curve (`PlaneBoundary.stack`) pair i
+    lies on domain[i].
     """
     t_lo = np.atleast_1d(np.asarray(t_lo, dtype=float))
     t_hi = np.atleast_1d(np.asarray(t_hi, dtype=float))
     n = len(t_lo)
-    s = curve.sample(np.concatenate([t_lo, t_hi]))
+    rows = () if domain is None else (np.atleast_1d(domain),)
+    s = curve.sample(np.concatenate([t_lo, t_hi]), *(np.tile(r, 2) for r in rows))
     a_pt, b_pt = s.position[:n], s.position[n:]
     na, nb, ta, tb = s.normal[:n], s.normal[n:], s.tangent[:n], s.tangent[n:]
     n_sum = na + nb
@@ -236,7 +242,7 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi) -> ArcBatch:
         c_hat = chord / chord_len[:, None]
         residual = chord[:, 0] * n_sum[:, 0] + chord[:, 1] * n_sum[:, 1]
         not_perfect = np.abs(residual) > ARC_F_TOL * np.maximum(chord_len, 1.0)
-        base_area = 0.5 * (curve.moment_between(t_lo, t_hi) + _cross(b_pt, a_pt))
+        base_area = 0.5 * (curve.moment_between(t_lo, t_hi, *rows) + _cross(b_pt, a_pt))
 
         # anti-parallel normals: perfect chord iff it runs along them
         segment = np.hypot(n_sum[:, 0], n_sum[:, 1]) < SEGMENT_NORMAL_TOL
@@ -338,7 +344,8 @@ def _sample_containment(curve, a_pt, b_pt, alpha):
 # root scanning (used by the profile oracle and the CLI)
 # --------------------------------------------------------------------------
 
-def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
+def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
+                   domain=None):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
     s1 may be a 1-D array of n slices spaced 2π/n apart, giving one root
@@ -348,7 +355,9 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
     n_scan (576 for 96 slices). One `curve.sample` gives h on every node
     pair; each slice scans the other N − 1 nodes in turn, and
     `sign_change_roots` refines every sign-changing cell, reading the s1 end
-    from that sample and sampling only s2.
+    from that sample and sampling only s2. On a stacked curve
+    (`PlaneBoundary.stack`) `domain` lists the domains to scan, all in that
+    one sample and one solve: list j·n + k holds slice k of domain[j].
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -356,52 +365,66 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS):
         raise ValueError("s1 slices must be spaced 2pi/n apart")
     per = max(1, -(-n_scan // n))  # nodes per slice
     nodes = (s1_arr[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
-    s = curve.sample(nodes)
-    # centred: h is translation-invariant, and its expansion rounds at |P|
-    p, t = s.position - np.mean(s.position, axis=0), s.tangent
-    a, at = np.einsum("ij,ij->i", p, t), np.arange(n) * per
+    m, d = len(nodes), 1 if domain is None else len(domain)
+    # the domain index of points on the j-th listed domain, none if lone
+    on = (lambda j: ()) if domain is None else (lambda j: (np.asarray(domain)[j],))
+    s = curve.sample(np.tile(nodes, d), *on(np.repeat(np.arange(d), m)))
+    # centred per domain: h is translation-invariant, and its expansion
+    # rounds at |P|
+    p, t = s.position.reshape(d, m, 2), s.tangent.reshape(d, m, 2)
+    p = p - np.mean(p, axis=1, keepdims=True)
+    a, at = np.einsum("xij,xij->xi", p, t), np.arange(n) * per
 
     def turn(x, shift=0.0):
-        """Row k, column c: x at node k·per + 1 + c, counted around the turn."""
-        x = np.concatenate([x, x + shift])[1:]
-        return sliding_window_view(x, len(nodes) - 1, axis=0)[::per][:n]
+        """Domain i, row k, column c: x at node k·per + 1 + c, counted
+        around the turn."""
+        x = np.concatenate([x, x + shift], axis=1)[:, 1:]
+        return sliding_window_view(x, m - 1, axis=1)[:, ::per][:, :n]
 
     # h_kj = a_k + a_j − P_k·T_j − T_k·P_j, with a = P·T
-    vals = np.einsum("kd,kdc->kc", p[at], turn(t))
-    vals += np.einsum("kd,kdc->kc", t[at], turn(p))
+    vals = np.einsum("xkd,xkdc->xkc", p[:, at], turn(t))
+    vals += np.einsum("xkd,xkdc->xkc", t[:, at], turn(p))
     np.subtract(turn(a), vals, out=vals)
-    vals += a[at, None]
+    vals += a[:, at, None]
 
-    def h(x, k):  # at (s1[k], x), the s1 end read from the node sample
-        end = curve.sample(x)
-        return _dot(s.position[at[k]] - end.position, s.tangent[at[k]] - end.tangent)
+    def h(x, row):  # at (s1[k], x) on domain j, the s1 end read from the sample
+        j, k = np.divmod(row, n)
+        end = curve.sample(x, *on(j))
+        i = j * m + at[k]
+        return _dot(s.position[i] - end.position, s.tangent[i] - end.tangent)
 
-    row, roots = sign_change_roots(h, turn(nodes, TWO_PI), vals, 1e-13)
+    grid = turn(nodes[None], TWO_PI)[0]
+    if d > 1:
+        grid = np.tile(grid, (d, 1))
+    row, roots = sign_change_roots(h, grid, vals.reshape(d * n, m - 1), 1e-13)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
     good = [r.tolist() for r in np.split(roots[keep], np.searchsorted(
-        row[keep], np.arange(1, n)))]
+        row[keep], np.arange(1, d * n)))]
     return good if np.ndim(s1) else good[0]
 
 
 def is_circle(curve: PlaneBoundary) -> bool:
     """Every endpoint pair is perfect: max |f| over a coarse 24 × 24 pair
-    grid stays below CIRCLE_RESIDUAL_TOL. A sign change of f on a circle
-    is rounding noise, so the root scan cannot be used there."""
+    grid stays below CIRCLE_RESIDUAL_TOL·√(|Ω|/π). f is a length, so the
+    test is scale-free; the factor is 1 on area-π domains. A sign change of
+    f on a circle is rounding noise, so the root scan cannot be used there."""
     t = np.linspace(0.0, TWO_PI, 24, endpoint=False)[:, None]
     vals = two_point_f_many(curve, t, t + np.linspace(0.3, TWO_PI - 0.3, 24))
-    return float(np.max(np.abs(vals))) < CIRCLE_RESIDUAL_TOL
+    return float(np.max(np.abs(vals))) < CIRCLE_RESIDUAL_TOL * float(np.sqrt(
+        curve.area() / np.pi))
 
 
 # --------------------------------------------------------------------------
 # continuation
 # --------------------------------------------------------------------------
 
-def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
+def _correct_s2(curve: PlaneBoundary, s1, s2_guess, domain=None) -> np.ndarray:
     """Newton on s2 holding f(s1, ·) = 0.
 
-    s1 and s2_guess broadcast, and each element stops on its own. Returns
+    s1, s2_guess and, on a stacked curve, the domain index `domain`
+    broadcast, and each element stops on its own. Returns
     an array of their broadcast shape, NaN where an element fails: |f| is
     still above NEWTON_F_TOL after NEWTON_MAX_ITER steps, or s2 meets s1
     mod 2π, where f vanishes without an arc.
@@ -414,9 +437,10 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
     step no longer shrinks: f then only random-walks at its rounding floor.
     It returns its evaluated point of smallest |f|.
     """
-    s1_b, guess = np.broadcast_arrays(np.asarray(s1, dtype=float),
-                                      np.asarray(s2_guess, dtype=float))
-    s1_v, s2 = s1_b.ravel(), guess.ravel().copy()
+    s1_b, guess, dom = np.broadcast_arrays(np.asarray(s1, dtype=float),
+                                           np.asarray(s2_guess, dtype=float),
+                                           0 if domain is None else domain)
+    s1_v, s2, dom = s1_b.ravel(), guess.ravel().copy(), dom.ravel()
     best_f, best_s2 = np.full(s2.shape, np.inf), s2.copy()
     prev_step = np.full(s2.shape, np.inf)
     active = np.ones(s2.shape, dtype=bool)
@@ -428,7 +452,8 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess) -> np.ndarray:
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        f, _, g2, _, w2 = two_point_eval(curve, s1_v[idx], s2[idx])
+        f, _, g2, _, w2 = two_point_eval(curve, s1_v[idx], s2[idx],
+                                         *(() if domain is None else (dom[idx],)))
         g2 = g2 * w2  # to a parameter derivative
         better = np.abs(f) < best_f[idx]
         best_f[idx[better]], best_s2[idx[better]] = np.abs(f[better]), s2[idx[better]]

@@ -41,17 +41,34 @@ class CurveSamples(NamedTuple):
 
 
 class PlaneBoundary:
-    """Shared surface of both curve representations."""
+    """Shared surface of both curve representations.
 
-    def sample(self, theta) -> CurveSamples:  # pragma: no cover - abstract
+    `stack` joins curves of one class into one boundary of many domains:
+    its `sample` and `moment_between` take a per-point domain index.
+    """
+
+    # the series that `sample` reads
+    _SAMPLED = ()
+
+    def sample(self, theta, domain=None) -> CurveSamples:  # pragma: no cover
         raise NotImplementedError
 
     def area(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def moment_between(self, t0, t1):
+    def moment_between(self, t0, t1, domain=None):
         """∫ (x y' − y x') dt over [t0, t1]; twice the swept Green area."""
-        return self._moment_series.integral_between(t0, t1)
+        return self._moment_series.integral_between(t0, t1, domain)
+
+    @classmethod
+    def stack(cls, curves) -> "PlaneBoundary":
+        """The curves, all of this class, as one boundary whose domain j is
+        curves[j]: each series that `sample` and `moment_between` read holds
+        one coefficient row per domain (`TrigSeries.stack`)."""
+        out = object.__new__(cls)
+        for name in cls._SAMPLED + ("_moment_series",):
+            out.__dict__[name] = TrigSeries.stack([getattr(c, name) for c in curves])
+        return out
 
 
 class SupportCurve(PlaneBoundary):
@@ -61,6 +78,8 @@ class SupportCurve(PlaneBoundary):
     sin(mθ), m = 1..M. All geometry (position, curvature, area, arclength)
     derives from these coefficients in closed form.
     """
+
+    _SAMPLED = ("h_series", "_h_prime", "rho_series")
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
         self.cos_coeffs = tuple(float(c) for c in cos_coeffs)
@@ -122,10 +141,10 @@ class SupportCurve(PlaneBoundary):
         if self._min_rho <= 0.0:
             raise NonConvex(f"h + h'' has minimum {self._min_rho:.3e} <= 0.0")
 
-    def sample(self, theta) -> CurveSamples:
+    def sample(self, theta, domain=None) -> CurveSamples:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         h, hp, rho = TrigSeries.evaluate(theta, self.h_series, self._h_prime,
-                                         self.rho_series)
+                                         self.rho_series, domain=domain)
         if np.any(rho <= 0.0):
             raise NonConvex("h + h'' <= 0 at a requested angle")
         ct, st = np.cos(theta), np.sin(theta)
@@ -197,6 +216,8 @@ class SupportCurve(PlaneBoundary):
 class RadialCurve(PlaneBoundary):
     """Star-shaped boundary r(u)·(cos u, sin u) with Fourier radial profile."""
 
+    _SAMPLED = ("radius_series", "_r_prime", "_r_second")
+
     def __init__(self, radius_series: TrigSeries):
         self.radius_series = radius_series
 
@@ -213,10 +234,10 @@ class RadialCurve(PlaneBoundary):
     def _r_second(self) -> TrigSeries:
         return self._r_prime.derivative()
 
-    def sample(self, u) -> CurveSamples:
+    def sample(self, u, domain=None) -> CurveSamples:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         r, rp, rpp = TrigSeries.evaluate(u, self.radius_series, self._r_prime,
-                                         self._r_second)
+                                         self._r_second, domain=domain)
         cu, su = np.cos(u), np.sin(u)
         dx = rp * cu - r * su
         dy = rp * su + r * cu
@@ -274,7 +295,8 @@ DEGENERATE_KPP_TOL = 1e-8
 
 
 def _negligible(curve: SupportCurve, coeffs) -> bool:
-    scale = max(abs(curve.cos_coeffs[0]), 1.0)
+    """Every coefficient is below SYMMETRY_TOL relative to the mean radius a0."""
+    scale = abs(curve.cos_coeffs[0])
     return all(abs(c) <= SYMMETRY_TOL * scale for c in coeffs)
 
 
@@ -289,21 +311,22 @@ def is_symmetric(curve: SupportCurve) -> bool:
 
 
 def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
-    """(dκ/ds, d²κ/ds², d³κ/ds³) at a boundary angle, from the ρ series."""
-    rho_s = curve.rho_series
-    rho1_s = rho_s.derivative()
-    rho2_s = rho1_s.derivative()
-    rho3_s = rho2_s.derivative()
-    rho = rho_s(theta)
-    r1, r2, r3 = rho1_s(theta), rho2_s(theta), rho3_s(theta)
+    """(dκ/ds, d²κ/ds², d³κ/ds³) at a boundary angle, from the ρ series.
+
+    With κ = 1/ρ, dθ/ds = κ and q_i = ρ⁽ⁱ⁾/ρ (scale-free), the chain rule
+    gives κ_s = −q1/ρ², κ_ss = (3q1² − q2)/ρ³ and
+    κ_sss = (10q1q2 − 15q1³ − q3)/ρ⁴; only powers of κ carry the scale, so
+    no power of ρ overflows.
+    """
+    series = [curve.rho_series]
+    for _ in range(3):
+        series.append(series[-1].derivative())
+    rho, *r = (s(theta) for s in series)
     kap = 1.0 / rho
-    k_t = -r1 / rho ** 2
-    k_tt = -r2 / rho ** 2 + 2.0 * r1 ** 2 / rho ** 3
-    k_ttt = -r3 / rho ** 2 + 6.0 * r1 * r2 / rho ** 3 - 6.0 * r1 ** 3 / rho ** 4
-    # chain rule through dθ/ds = κ
-    k_s = k_t * kap
-    k_ss = (k_tt * kap + k_t ** 2) * kap
-    k_sss = ((k_ttt * kap + 3.0 * k_t * k_tt) * kap + (k_tt * kap + k_t ** 2) * k_t) * kap
+    q1, q2, q3 = (x * kap for x in r)
+    k_s = -q1 * kap * kap
+    k_ss = (3.0 * q1 * q1 - q2) * kap * kap * kap
+    k_sss = (10.0 * q1 * q2 - 15.0 * q1 ** 3 - q3) * kap * kap * kap * kap
     return k_s, k_ss, k_sss
 
 
@@ -345,11 +368,10 @@ def classify(curve: SupportCurve) -> DomainClassReport:
     kappa_max = max([float(np.max(kap))] + kap_v)
     kappa_min = min([float(np.min(kap))] + kap_v)
 
-    degenerate = False
-    for v in vertices:
-        _, k_ss, _ = curvature_arclength_derivatives(curve, v)
-        if abs(k_ss) < DEGENERATE_KPP_TOL:
-            degenerate = True
+    # κ_ss·a0³ is scale-free (a0 the mean radius)
+    degenerate = any(abs(curvature_arclength_derivatives(curve, v)[1])
+                     * curve.cos_coeffs[0] ** 3 < DEGENERATE_KPP_TOL
+                     for v in vertices)
 
     expected = {0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0}
     at_axes = len(vertices) == 4 and all(

@@ -24,7 +24,7 @@ import numpy as np
 from . import disk as diskmod
 from . import profile as profilemod
 from ._roots import sign_change_roots
-from .errors import (AreaNormalizationFailure, FitIllConditioned, IsoperimError,
+from .errors import (AreaNormalizationFailure, FitIllConditioned,
                      NonConvexPerturbation, OracleFailure, OutOfRange)
 from .geometry import RadialCurve, TWO_PI
 from .trig import TrigSeries, fit_periodic
@@ -237,12 +237,14 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
                                 domain_builder=None) -> ExperimentReport:
     """Measure I_{Ω_s}(area) over an s-grid and fit the leading orders.
 
-    The profile at s = 0 is included in the fit and must agree with the
-    closed-form disk profile within ORACLE_TOL. The verdict is
-    first_order_decrease when α clears the noise floor 10·ORACLE_TOL/s_max,
-    second_order_decrease when the profile moved but α does not clear it
-    and β < 0, and no_decrease when the profile is flat within
-    5·ORACLE_TOL (rigid motions).
+    The oracle measures every s in one pass (`profile.oracle_pairs`); the
+    disk at s = 0 takes its circle route. A refusal raises OracleFailure
+    naming the first refused s. The profile at s = 0 is included in the fit
+    and must agree with the closed-form disk profile within ORACLE_TOL. The
+    verdict is first_order_decrease when α clears the noise floor
+    10·ORACLE_TOL/s_max, second_order_decrease when the profile moved but α
+    does not clear it and β < 0, and no_decrease when the profile is flat
+    within 5·ORACLE_TOL (rigid motions).
     """
     if not 0.0 < area < np.pi:
         raise OutOfRange(f"target area must lie in (0, pi), got {area}")
@@ -252,15 +254,12 @@ def profile_decrease_experiment(f: PerturbationField, area: float,
     if len(set(s_values[1:])) < 3:
         raise FitIllConditioned("need at least three distinct nonzero s values")
     builder = domain_builder or (lambda s: build_perturbed_domain(f, s))
-
-    def profile_at(s):
-        curve = builder(s)
-        try:
-            return profilemod.general_profile_oracle(curve, area, config.n_s1)
-        except IsoperimError as exc:
+    values, errors = profilemod.oracle_pairs([builder(s) for s in s_values],
+                                             [area] * len(s_values), config.n_s1)
+    for s, exc in zip(s_values, errors):
+        if exc is not None:
             raise OracleFailure(f"profile oracle failed at s={s}: {exc}") from exc
-
-    values = tuple(profile_at(s) for s in s_values)
+    values = tuple(map(float, values))
 
     i_disk = diskmod.profile(area)
     if abs(values[0] - i_disk) > ORACLE_TOL:

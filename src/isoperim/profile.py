@@ -5,9 +5,11 @@ Two routes to the profile are implemented and cross-validated:
 * `symmetric_profile` builds the family of arcs symmetric about the x-axis
   for a bi-axially symmetric domain (closed-form length, Green-theorem
   area), which upper-bounds the profile and is exact for the disk.
-* `general_profile_oracle` enumerates all perfect arcs by scanning the
-  two-point function, refines the family crossing a target area, and takes
-  the minimum length — a brute-force oracle independent of any closed form.
+* `oracle_pairs` enumerates all perfect arcs by scanning the two-point
+  function, refines the family crossing a target area, and takes the
+  minimum length — a brute-force oracle independent of any closed form,
+  over many (domain, area) pairs in one pass; `general_profile_oracle`
+  takes one pair.
 
 `conjecture_check` compares a domain's profile against the unit disk's and
 reports the supremum of the ratio over the sampled area range.
@@ -26,8 +28,8 @@ import numpy as np
 from . import arcs as arcsmod
 from . import disk as diskmod
 from ._roots import MAX_ITER, XRTOL, invert_monotone_many
-from .errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA, NotNormalized,
-                     NumericalError)
+from .errors import (IsDisk, IsoperimError, NoArcAtArea, NoConvergence, NotClassA,
+                     NotNormalized, NumericalError)
 from .geometry import PlaneBoundary, SupportCurve, TWO_PI, classify, is_symmetric
 from .trig import TrigSeries
 
@@ -342,9 +344,10 @@ def _branch_slope(arc, first=True) -> tuple:
         return slope, a1 + a2 * slope, a2 / f2
 
 
-def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
+def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=None) -> tuple:
     """Lengths of the arcs at `target` area on branch segments whose end
-    areas straddle it, one element per segment (the arguments broadcast).
+    areas straddle it, one element per segment (the arguments broadcast; on
+    a stacked curve segment i lies on domain[i]).
 
     One `arc_batch` of the 2·n end pairs gives each end's area, its branch
     slope ds2/ds1 and the area's derivative dA/ds1 along the branch
@@ -380,6 +383,8 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
         *(np.atleast_1d(np.asarray(v, dtype=float))
           for v in (s1_a, s2_a, s1_b, s2_b, target)))
     n = len(s1_a)
+    on = ((lambda lane: ()) if domain is None
+          else (lambda lane, dom=np.broadcast_to(domain, n): (dom[lane],)))
     width = s1_b - s1_a
     chord = (s2_b - s2_a) / width
     failures = [None] * n
@@ -392,7 +397,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
         # a partner that left the window has jumped to another branch
         inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
                   & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
-        arc = arcsmod.arc_batch(curve, lo[inside], hi[inside])
+        arc = arcsmod.arc_batch(curve, lo[inside], hi[inside], *on(lane[inside]))
         out = np.full((6, len(s1)), np.nan)
         out[:, inside] = (arc.area - target[lane[inside]], arc.length, s2[inside],
                           *_branch_slope(arc, s1[inside] < s2[inside]))
@@ -449,7 +454,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     for _ in range(MAX_ITER):
         if not idx.size:
             break
-        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx])
+        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx], *on(idx))
         vals = arcs_at(x[idx], s2, seed_at(x[idx], idx), idx)
         ok = np.array([failures[i] is None for i in idx], dtype=bool)
         idx, vals, xi = idx[ok], vals[:, ok], x[idx[ok]]
@@ -498,46 +503,95 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target) -> tuple:
     return out, failures
 
 
-def general_profile_oracle(curve: PlaneBoundary, target_area: float,
-                           n_s1: int = N_S1) -> float:
-    """Brute-force profile value: enumerate perfect arcs, refine at the area.
+def oracle_pairs(curves, areas, n_s1: int) -> tuple:
+    """Brute-force profile values at the (domain, area) pairs
+    (curves[p], areas[p]), in one pass.
 
-    Scans n_s1 slices of s1 over the boundary, finds every s2 root of the two-point
-    function, the area of its arc and the branch slope ds2/ds1 there, and
-    matches roots across neighboring s1 into branches: each root's offset
-    s2 − s1 is carried to slice i + 1 along its tangent and joined to the
-    nearest root within 3 s1 steps of that prediction, on a padded
-    (slice × root) table. The slopes come from the table's own `arc_batch`
-    sample (`_branch_slope`).
-    An arc's complement has the same length and area |Ω| − A, so each
-    branch segment whose end areas straddle the target or |Ω| − target is
-    refined in s1, all of them in one `_refine_on_branch` call: a
-    safeguarded Newton iteration on the area along the branch, with the
-    exact dA/ds1 of the arc kernel. Independent of every closed form in the
-    package.
+    Returns (values, errors): values[p] is the profile, or NaN where
+    errors[p] holds the pair's refusal, the `IsoperimError` that
+    `general_profile_oracle` raises for it; any other exception propagates.
+    A circle-like domain takes `_circle_profile_value`. The other curves,
+    each distinct object once (pairs that share a curve share its scan), are
+    stacked by class (`PlaneBoundary.stack`), and each stack takes one pass
+    (`_branch_pass`) whose every lane carries its domain index: the pass
+    costs about as much as its slowest domain alone.
     """
     if n_s1 < 1:
         raise ValueError(f"n_s1 must be at least 1, got {n_s1}")
-    total = curve.area()
-    if not 0.0 < target_area < total:
-        raise NoArcAtArea(f"target area {target_area} outside (0, {total:.6g})")
+    if len(curves) != len(areas):
+        raise ValueError(f"{len(curves)} curves but {len(areas)} areas")
+    values, errors = np.full(len(areas), np.nan), [None] * len(areas)
+    stacks = {}
+    for p, (curve, area) in enumerate(zip(curves, areas)):
+        try:
+            total = curve.area()
+            if not 0.0 < area < total:
+                raise NoArcAtArea(f"target area {area} outside (0, {total:.6g})")
+            if arcsmod.is_circle(curve):
+                values[p] = _circle_profile_value(curve, area)
+            else:
+                stacks.setdefault(type(curve), {}).setdefault(id(curve), []).append(
+                    (p, area, total))
+        except IsoperimError as exc:
+            errors[p] = exc
+    for on_curve in stacks.values():
+        asked = list(on_curve.values())
+        found = _branch_pass([curves[pairs[0][0]] for pairs in asked],
+                             [[(a, total) for _, a, total in pairs] for pairs in asked],
+                             n_s1)
+        for (p, _, _), (value, exc) in zip(
+                (pair for pairs in asked for pair in pairs), found):
+            values[p], errors[p] = value, exc
+    return values, errors
 
-    if arcsmod.is_circle(curve):
-        return _circle_profile_value(curve, target_area)
 
+def _branch_pass(domains, asked, n_s1) -> list:
+    """(value, refusal) of every pair asked[j] = [(area, total area), ...] of
+    domain j, in order, from one pass over the domains (curves of one class).
+
+    Scans n_s1 slices of s1 over every boundary, finds every s2 root of the
+    two-point function, the area of its arc and the branch slope ds2/ds1
+    there, and matches roots across neighboring s1 into branches: each
+    root's offset s2 − s1 is carried to slice i + 1 along its tangent and
+    joined to the nearest root within 3 s1 steps of that prediction, on a
+    padded (domain × slice × root) table. The slopes come from the table's
+    own `arc_batch` sample (`_branch_slope`).
+    An arc's complement has the same length and area |Ω| − A, so each
+    branch segment whose end areas straddle a pair's area or its complement
+    is refined in s1, all of them in one `_refine_on_branch` call: a
+    safeguarded Newton iteration on the area along the branch, with the
+    exact dA/ds1 of the arc kernel. A pair's value is the shortest of its
+    refined arcs. Several domains share one stacked curve, one root scan,
+    one table and one refinement; where the scan or the table fails, each
+    domain takes a pass of its own, so a failure is its own domain's.
+    Independent of every closed form in the package.
+    """
+    d = len(domains)
+    curve = domains[0] if d == 1 else type(domains[0]).stack(domains)
+    dom = None if d == 1 else np.arange(d)
+    on = (lambda lanes: ()) if dom is None else (lambda lanes: (lanes,))
     # half-step offset keeps s1 off symmetry axes, where partner roots are
     # even-order zeros of f(s1, ·) that a sign-change scan cannot see
     step = TWO_PI / n_s1
     s1_grid = (np.arange(n_s1) + 0.5) * step
+    try:
+        roots = arcsmod.scan_arc_roots(curve, s1_grid, domain=dom)
+        counts = np.array([len(r) for r in roots]).reshape(d, n_s1)
+        s1_all = np.repeat(np.tile(s1_grid, d), counts.ravel())
+        s2_all = np.concatenate(roots)
+        table = arcsmod.arc_batch(curve, s1_all, s2_all,
+                                  *on(np.repeat(np.arange(d), counts.sum(axis=1))))
+        table.raise_first()
+    except IsoperimError as exc:
+        if d == 1:
+            return [(np.nan, exc)] * len(asked[0])
+        return [found for c, pairs in zip(domains, asked)
+                for found in _branch_pass([c], [pairs], n_s1)]
 
-    # a padded (slice × root) table of root offsets s2 − s1, arc areas and
-    # predicted offset drifts per unit s1; NaN offsets pad the short slices
-    roots = arcsmod.scan_arc_roots(curve, s1_grid)
-    counts = np.array([len(r) for r in roots])
-    valid = np.arange(counts.max(initial=1)) < counts[:, None]
-    s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
-    table = arcsmod.arc_batch(curve, s1_all, s2_all)
-    table.raise_first()
+    # a padded (domain × slice × root) table of root offsets s2 − s1, arc
+    # areas and predicted offset drifts per unit s1; NaN offsets pad the
+    # short slices
+    valid = np.arange(counts.max(initial=1)) < counts[..., None]
     slope = _branch_slope(table)[0]
     offset, area, drift = (np.full(valid.shape, np.nan) for _ in range(3))
     offset[valid], area[valid] = s2_all - s1_all, table.area
@@ -547,35 +601,56 @@ def general_profile_oracle(curve: PlaneBoundary, target_area: float,
     # match each root to the root of slice i + 1 nearest its tangent
     # prediction, within 3 s1 steps: the radius scales with the s1 step, not
     # the s2 scan step
-    dist = np.abs(np.roll(offset, -1, axis=0)[:, None, :]
+    dist = np.abs(np.roll(offset, -1, axis=1)[:, :, None, :]
                   - (offset + step * drift)[..., None])
     dist[np.isnan(dist)] = np.inf
-    i, r = np.nonzero(np.min(dist, axis=2) < 3.0 * step)
-    j, k = (i + 1) % n_s1, np.argmin(dist, axis=2)[i, r]
-    # segments whose end areas straddle a target, ordered by (slice, root)
-    targets = np.array(list({target_area, total - target_area}))
-    seg, which = np.nonzero((area[i, r, None] - targets)
-                            * (area[j, k, None] - targets) <= 0.0)
-    i, r, j, k = i[seg], r[seg], j[seg], k[seg]
+    dm, i, r = np.nonzero(np.min(dist, axis=3) < 3.0 * step)
+    j, k = (i + 1) % n_s1, np.argmin(dist, axis=3)[dm, i, r]
+    # each domain's targets, its pairs' areas and their complements, padded
+    # with NaN; segments whose end areas straddle one, by (domain, slice, root)
+    wanted = [list({t for a, total in pairs for t in (a, total - a)})
+              for pairs in asked]
+    targets = np.full((d, max(map(len, wanted))), np.nan)
+    for row, ts in zip(targets, wanted):
+        row[:len(ts)] = ts
+    seg, which = np.nonzero((area[dm, i, r, None] - targets[dm])
+                            * (area[dm, j, k, None] - targets[dm]) <= 0.0)
+    dm, i, r, j, k = dm[seg], i[seg], r[seg], j[seg], k[seg]
     s1_a = s1_grid[i]
-    segments = np.array([s1_a, s1_a + offset[i, r], s1_a + step,
-                         s1_a + step + offset[j, k], targets[which]])
-    n_seg = segments.shape[1]
-    lengths, failures = _refine_on_branch(curve, *segments)
-    failed = Counter()
+    segments = np.array([s1_a, s1_a + offset[dm, i, r], s1_a + step,
+                         s1_a + step + offset[dm, j, k], targets[dm, which]])
+    lengths, failures = _refine_on_branch(curve, *segments, *on(dm))
     for (s1_a, _, s1_b, _, target), exc in zip(segments.T, failures):
         if exc is not None:
-            failed[type(exc).__name__] += 1
             log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "
                       "at area %.17g: %s", type(exc).__name__,
                       s1_a, s1_b, target, exc)
-    if np.all(np.isnan(lengths)):
-        causes = "".join(f", {n} {name}" for name, n in sorted(failed.items()))
-        raise NoArcAtArea(
-            f"no arc family crossed area {target_area}; refine the grid "
-            f"({n_seg} refinements tried, {sum(failed.values())} "
-            f"failed{causes})")
-    return float(np.nanmin(lengths))
+    out = []
+    for jd, pairs in enumerate(asked):
+        for a, total in pairs:
+            mine = np.flatnonzero((dm == jd) & ((segments[4] == a)
+                                                | (segments[4] == total - a)))
+            if not np.all(np.isnan(lengths[mine])):
+                out.append((float(np.nanmin(lengths[mine])), None))
+                continue
+            failed = Counter(type(failures[s]).__name__ for s in mine
+                             if failures[s] is not None)
+            causes = "".join(f", {n} {name}" for name, n in sorted(failed.items()))
+            out.append((np.nan, NoArcAtArea(
+                f"no arc family crossed area {a}; refine the grid "
+                f"({len(mine)} refinements tried, {sum(failed.values())} "
+                f"failed{causes})")))
+    return out
+
+
+def general_profile_oracle(curve: PlaneBoundary, target_area: float,
+                           n_s1: int = N_S1) -> float:
+    """Brute-force profile value: `oracle_pairs` on the one pair
+    (curve, target_area), whose refusal it raises."""
+    values, errors = oracle_pairs([curve], [target_area], n_s1)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0])
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,11 @@ BLOCK_ENTRIES = 2 ** 16
 
 @dataclass(frozen=True, eq=False)
 class TrigSeries:
-    """f(t) = Σ_k cos_c[k]·cos(kt) + sin_c[k]·sin(kt), k = 0..M (sin_c[0] ≡ 0)."""
+    """f(t) = Σ_k cos_c[k]·cos(kt) + sin_c[k]·sin(kt), k = 0..M (sin_c[0] ≡ 0).
+
+    A stacked series (`stack`) holds one coefficient row per domain; `evaluate`
+    and `integral_between` then read row domain[i] at point i.
+    """
 
     cos_c: np.ndarray
     sin_c: np.ndarray
@@ -25,7 +29,7 @@ class TrigSeries:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.cos_c, dtype=float))
         s = np.atleast_1d(np.asarray(self.sin_c, dtype=float))
-        if len(c) != len(s) or (len(s) and s[0] != 0.0):
+        if c.ndim == 1 and (len(c) != len(s) or (len(s) and s[0] != 0.0)):
             m = max(len(c), len(s), 1)
             if len(c) < m:
                 c = np.concatenate([c, np.zeros(m - len(c))])
@@ -38,16 +42,26 @@ class TrigSeries:
 
     @property
     def order(self) -> int:
-        return len(self.cos_c) - 1
+        return self.cos_c.shape[-1] - 1
+
+    @staticmethod
+    def stack(series) -> "TrigSeries":
+        """The series as the rows of one stacked series, zero-padded to the
+        highest order."""
+        m = max(s.order for s in series) + 1
+        return TrigSeries(*(np.array([np.pad(getattr(s, name), (0, m - s.order - 1))
+                                      for s in series]) for name in ("cos_c", "sin_c")))
 
     def __call__(self, t):
         return TrigSeries.evaluate(t, self)[0]
 
     @staticmethod
-    def evaluate(t, *series) -> tuple:
-        """Each series at t, shaped like t, on one cos/sin basis per block."""
+    def evaluate(t, *series, domain=None) -> tuple:
+        """Each series at t, shaped like t, on one cos/sin basis per block;
+        stacked series at the rows `domain`, shaped like t."""
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.ravel()
+        rows_of = None if domain is None else np.ravel(domain)
         k = np.arange(max(s.order for s in series) + 1)
         # an even block keeps BLAS's row pairing of one unblocked product
         rows = max(2, BLOCK_ENTRIES // len(k) // 2 * 2)
@@ -57,7 +71,12 @@ class TrigSeries:
             cos_b, sin_b = np.cos(ang), np.sin(ang)
             for o, s in zip(out, series):
                 m = s.order + 1
-                o[lo:lo + rows] = cos_b[:, :m] @ s.cos_c + sin_b[:, :m] @ s.sin_c
+                if rows_of is None:
+                    o[lo:lo + rows] = cos_b[:, :m] @ s.cos_c + sin_b[:, :m] @ s.sin_c
+                    continue
+                # every domain at every point, then each point's own domain
+                every = cos_b[:, :m] @ s.cos_c.T + sin_b[:, :m] @ s.sin_c.T
+                o[lo:lo + rows] = every[np.arange(len(every)), rows_of[lo:lo + rows]]
         return tuple(o.reshape(t_arr.shape) if t_arr.ndim else float(o[0])
                      for o in out)
 
@@ -79,16 +98,22 @@ class TrigSeries:
         k = np.arange(self.order + 1, dtype=float)
         return TrigSeries(k * self.sin_c, -k * self.cos_c)
 
-    def integral_between(self, t0, t1):
-        """∫_{t0}^{t1} f dt, exact (t0, t1 scalars or arrays)."""
+    def integral_between(self, t0, t1, domain=None):
+        """∫_{t0}^{t1} f dt, exact (t0, t1 scalars or arrays); a stacked
+        series at the rows `domain`, shaped like t0 and t1."""
         t0 = np.asarray(t0, dtype=float)
         t1 = np.asarray(t1, dtype=float)
         k = np.arange(1, self.order + 1)
-        a, b = self.cos_c[1:], self.sin_c[1:]
+        c, s = self.cos_c, self.sin_c
+        if domain is not None:  # each point's own coefficient row
+            c, s = c[domain], s[domain]
+        a, b = c[..., 1:] / k, s[..., 1:] / k
         def anti(t):
             ang = np.multiply.outer(t, k)
-            return np.sin(ang) @ (a / k) - np.cos(ang) @ (b / k)
-        out = self.cos_c[0] * (t1 - t0) + anti(t1) - anti(t0)
+            if domain is None:
+                return np.sin(ang) @ a - np.cos(ang) @ b
+            return np.sum(np.sin(ang) * a - np.cos(ang) * b, axis=-1)
+        out = c[..., 0] * (t1 - t0) + anti(t1) - anti(t0)
         return out if out.ndim else float(out)
 
     def product(self, other: "TrigSeries") -> "TrigSeries":

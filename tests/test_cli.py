@@ -92,6 +92,22 @@ def test_domain_info_huge_translation_is_a_unit_disk(capsys):
     assert payload["pestov_ionin"]["bound"] == 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e3, 1e10, 1e60, 1e80])
+def test_domain_info_is_scale_free(capsys, scale):
+    # the class flags and vertices of [1, 0, 0.1] at any scale: the
+    # degeneracy test was absolute (1e3 and up read degenerate) and ρ⁴
+    # overflowed at 1e80
+    def info(s):
+        code, out, _ = run_cli(["domain-info", "--spec-json",
+                                json.dumps({"support_cos": [s, 0, 0.1 * s]})], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        return [payload[k] for k in ("degenerate", "is_class_A", "is_disk",
+                                     "vertex_thetas")]
+
+    assert info(scale) == info(1.0)
+
+
 @pytest.mark.parametrize("spec, area", [
     ('{"support_cos": [1e200]}', "inf"),
     ('{"support_cos": [1e-200, 0, 1e-202]}', "0.0"),
@@ -254,21 +270,22 @@ def test_flags_override_spec_file(tmp_path, capsys):
 
 
 def test_experiment_cli_grid_reaches_oracle(monkeypatch, capsys):
-    # the spy stands in for the oracle: only the wiring is under test
+    # the spy stands in for the oracle's one pass: only the wiring is under test
     calls = []
 
     def spy(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        calls.append(bound.arguments["n_s1"])
-        return disk.profile(bound.arguments["target_area"])
+        areas = bound.arguments["areas"]
+        calls.append((bound.arguments["n_s1"], len(bound.arguments["curves"])))
+        return [disk.profile(a) for a in areas], [None] * len(areas)
 
-    signature = inspect.signature(profile.general_profile_oracle)
-    monkeypatch.setattr(profile, "general_profile_oracle", spy)
+    signature = inspect.signature(profile.oracle_pairs)
+    monkeypatch.setattr(profile, "oracle_pairs", spy)
     code, _, _ = run_cli(["perturb", "experiment", "--mode", "3",
                           "--area", "1.0", "--grid", "64"], capsys)
     assert code == 0
-    assert calls == [64] * 6  # s = 0 and the five default s values
+    assert calls == [(64, 6)]  # one pass: s = 0 and the five default s values
 
 
 def test_experiment_cli_smoke(tmp_path, capsys):

@@ -7,8 +7,8 @@ from isoperim import disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
 
-from isoperim.errors import (FitIllConditioned, NoArcAtArea, NonConvexPerturbation,
-                             OracleFailure, OutOfRange)
+from isoperim.errors import (FitIllConditioned, IsoperimError, NoArcAtArea,
+                             NonConvexPerturbation, OracleFailure, OutOfRange)
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,10 +287,22 @@ def test_experiment_refuses_empty_slicing():
 
 
 def _experiment_on_a_stub_oracle(monkeypatch, oracle):
-    """Run the experiment with `oracle(s)` in place of the profile oracle:
-    the domain builder hands the oracle s itself."""
-    monkeypatch.setattr(prof, "general_profile_oracle",
-                        lambda s, area, n_s1: oracle(s))
+    """Run the experiment with `oracle(s)` in place of the profile oracle's
+    pass: the domain builder hands the pass s itself as each pair's domain,
+    and a pair's refusal (an `IsoperimError`) becomes its error while any
+    other exception propagates, as in `oracle_pairs`."""
+    def pairs(curves, areas, n_s1):
+        values, errors = [], []
+        for s in curves:
+            try:
+                values.append(oracle(s))
+                errors.append(None)
+            except IsoperimError as exc:
+                values.append(np.nan)
+                errors.append(exc)
+        return values, errors
+
+    monkeypatch.setattr(prof, "oracle_pairs", pairs)
     return pert.profile_decrease_experiment(
         pert.PerturbationField.mode(2), 1.0,
         pert.ExperimentConfig(s_grid=(1e-3, 2e-3, 3e-3)), domain_builder=lambda s: s)

@@ -10,7 +10,7 @@ from isoperim import perturbation as pert
 from isoperim import profile as prof
 from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
                              NotNormalized, NotPerfect)
-from isoperim.geometry import SupportCurve, classify
+from isoperim.geometry import RadialCurve, SupportCurve, classify
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2.0
@@ -551,6 +551,12 @@ def test_oracle_refuses_empty_slicing(ellipse_main):
             prof.general_profile_oracle(ellipse_main, 1.0, n_s1)
 
 
+def test_oracle_pairs_refuse_unpaired_input(ellipse_main):
+    with pytest.raises(ValueError, match="1 curves but 2 areas"):
+        prof.oracle_pairs([ellipse_main], [1.0, 2.0], prof.N_S1)
+    assert [len(x) for x in prof.oracle_pairs([], [], prof.N_S1)] == [0, 0]
+
+
 def test_refinement_records_area_jump_lane(monkeypatch, ellipse_main):
     calls = []
     refine = prof._refine_on_branch
@@ -613,6 +619,73 @@ def test_oracle_logs_dropped_refinements(caplog):
     assert len(dropped[1e-3]) == 2 and not dropped[5e-3]
     assert all(m.startswith("refinement dropped: NoArcAtArea on s1 in [")
                for m in dropped[1e-3])
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-12, 1e-20])
+def test_oracle_scales_with_the_domain(ellipse_main, scale):
+    """The √2 ellipse scaled by `scale` is no circle (|f| is a length, and
+    `is_circle` allows CIRCLE_RESIDUAL_TOL per unit of √(|Ω|/π)), and its
+    profile at scale²·A is scale times the unscaled profile at A. Measured:
+    within 5.6e-16 relative at each scale; allowed 1e-12."""
+    curve = SupportCurve.ellipse(SQRT2 * scale, scale / SQRT2)
+    assert not arcs.is_circle(curve)
+    value = prof.general_profile_oracle(curve, scale * scale)
+    assert value == pytest.approx(
+        scale * prof.general_profile_oracle(ellipse_main, 1.0), rel=1e-12, abs=0.0)
+
+
+# --- one pass over (domain, area) pairs -------------------------------------------
+
+def test_oracle_pairs_equal_their_single_calls(ellipse_main):
+    """One pass over the critical cos 4u experiment's five domains (one
+    stacked curve) and the √2 ellipse at three areas (one curve, one scan)
+    gives every pair its single-pair value. Measured: bit for bit; allowed
+    1e-13, for a stacked evaluation that rounds differently."""
+    area = pert.find_mode_roots(4)[0].area
+    curves = [pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
+              for s in pert.ExperimentConfig().s_grid] + [ellipse_main] * 3
+    areas = [area] * 5 + [0.4, 1.0, HALF_PI]
+    values, errors = prof.oracle_pairs(curves, areas, prof.N_S1)
+    assert errors == [None] * 8
+    for curve, a, value in zip(curves, areas, values):
+        assert abs(value - prof.general_profile_oracle(curve, a)) <= 1e-13
+
+
+def test_oracle_pairs_keep_a_refusal_to_its_pair(ellipse_main):
+    # the asymmetric domain refuses A = 5e-3 (no segment straddles it) but
+    # not 0.5 on the same scan; both share one stacked pass with the ellipse
+    asymmetric = SupportCurve((1, 0.05, 0.03), (0, 0.02)).normalized_to(np.pi)
+    curves, areas = [asymmetric, ellipse_main, asymmetric], [5e-3, 1.0, 0.5]
+    values, errors = prof.oracle_pairs(curves, areas, prof.N_S1)
+    with pytest.raises(NoArcAtArea) as single:
+        prof.general_profile_oracle(asymmetric, 5e-3)
+    assert type(errors[0]) is NoArcAtArea and str(errors[0]) == str(single.value)
+    assert np.isnan(values[0]) and errors[1:] == [None, None]
+    for curve, a, value in zip(curves[1:], areas[1:], values[1:]):
+        assert abs(value - prof.general_profile_oracle(curve, a)) <= 1e-13
+
+
+def test_experiment_work_is_one_pass(monkeypatch):
+    """Boundary work of one critical cos 4u experiment: its five perturbed
+    domains share one root scan. Measured: 178 `RadialCurve.sample` calls
+    (the five single-domain oracle calls made 354); the bound allows 10%
+    over the measurement, rounded up."""
+    counts = {"sample": 0, "scan": 0}
+    sample, scan = RadialCurve.sample, arcs.scan_arc_roots
+
+    def counted_sample(self, *args):
+        counts["sample"] += 1
+        return sample(self, *args)
+
+    def counted_scan(*args, **kwargs):
+        counts["scan"] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(RadialCurve, "sample", counted_sample)
+    monkeypatch.setattr(arcs, "scan_arc_roots", counted_scan)
+    pert.profile_decrease_experiment(pert.PerturbationField.mode(4),
+                                     pert.find_mode_roots(4)[0].area)
+    assert counts["scan"] == 1 and counts["sample"] <= 196
 
 
 def match_segments_one_root_at_a_time(curve, target_area, n_s1=prof.N_S1):

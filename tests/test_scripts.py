@@ -38,13 +38,20 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
     values = tmp_path / "oracle_values.json"
-    script = run_script(monkeypatch, "oracle_values.py", "--out", str(values))
+    script = run_script(monkeypatch, "oracle_values.py", "--out", str(values),
+                        "--batched")
     rows = json.loads(values.read_text(encoding="utf-8"))
     assert len(rows) == 55
     assert [(r["case"], r["refusal"]) for r in rows if r["refusal"]] == [
         ("asymmetric A=0.005", "NoArcAtArea")]
     assert sum(r["dropped"] for r in rows) == 4
-    capsys.readouterr()
+    # the 11 batched calls: the same refusal and drops, and every value
+    # within the bound of test_oracle_pairs_equal_their_single_calls
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("batched: 11 calls, asymmetric A=0.005 refused "
+                        "(NoArcAtArea), 4 refinements dropped")
+    assert len(lines) == 3 and lines[2].startswith("largest value change: ")
+    assert float(lines[2].split()[3]) <= 1e-13
     moved = [dict(r, dropped=r["dropped"] + 1) if r["refusal"] else r for r in rows]
     script["compare"](moved, rows)
     assert capsys.readouterr().out.splitlines() == [
