@@ -10,13 +10,16 @@ The calls:
     the last two normalized to area pi, each at A in {5e-3, 0.05, 0.5, 1.2, pi/2}.
 
 Per call it records the value or the type of the refusal, and how many
-refinements the oracle dropped (its `isoperim` debug log). With
-`--against OTHER.json` it also prints the largest value change against
-another run and every call whose refusal or drop count differs. With
-`--batched` it also runs the 55 calls as 11 calls of `oracle_pairs`, one
-per batch (each experiment's five domains, then each domain at its five
-areas), and prints their refusals and dropped refinements, the largest value
-change from one call per pair, and every refusal that differs.
+refinements the oracle dropped (its `isoperim` debug log); the JSON holds
+these rows under "single". With `--batched` it also runs the 55 calls as 11
+calls of `oracle_pairs`, one per batch (each experiment's five domains, then
+each domain at its five areas), writes their rows under "batched", and
+prints their refusals and dropped refinements, the largest value change
+from one call per pair, and every refusal that differs. With
+`--against OTHER.json` it prints, for the single rows and for the batched
+rows that both runs hold, the largest value change against the other run and
+every call whose refusal or drop count differs. OTHER.json may also be a
+plain list of single rows, as written before the batched rows were kept.
 """
 
 import argparse
@@ -97,9 +100,9 @@ def run(batched=False) -> tuple:
     return rows, dropped
 
 
-def compare(rows: list, other: list, keys=("refusal", "dropped")):
+def compare(rows: list, other: list, keys=("refusal", "dropped"), label=""):
     """Print the largest value change and every changed refusal or drop count
-    (the entries `keys`)."""
+    (the entries `keys`), each line after `label`."""
     if [r["case"] for r in rows] != [r["case"] for r in other]:
         raise SystemExit("the two runs hold different calls")
     worst, where = 0.0, None
@@ -110,8 +113,8 @@ def compare(rows: list, other: list, keys=("refusal", "dropped")):
                 worst, where = change, new["case"]
         for key in keys:
             if new[key] != old[key]:
-                print(f"{new['case']}: {key} {old[key]} -> {new[key]}")
-    print(f"largest value change: {worst:.3e} ({where})")
+                print(f"{label}{new['case']}: {key} {old[key]} -> {new[key]}")
+    print(f"{label}largest value change: {worst:.3e} ({where})")
 
 
 def main():
@@ -122,19 +125,24 @@ def main():
                         help="also run the calls as 11 batches and compare")
     args = parser.parse_args()
     rows, dropped = run()
-    Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
+    out = {"single": rows}
+    if args.batched:
+        out["batched"], batch_dropped = run(batched=True)
+    Path(args.out).write_text(json.dumps(out, indent=1), encoding="utf-8")
     refused = sum(r["refusal"] is not None for r in rows)
     print(f"wrote {args.out}: {len(rows)} calls, {refused} refused, "
           f"{sum(dropped)} refinements dropped")
-    if args.against:
-        compare(rows, json.loads(Path(args.against).read_text(encoding="utf-8")))
     if args.batched:
-        batched, dropped = run(batched=True)
-        print(f"batched: {len(dropped)} calls, "
+        print(f"batched: {len(batch_dropped)} calls, "
               + ", ".join(f"{r['case']} refused ({r['refusal']})"
-                          for r in batched if r["refusal"])
-              + f", {sum(dropped)} refinements dropped")
-        compare(batched, rows, keys=("refusal",))
+                          for r in out["batched"] if r["refusal"])
+              + f", {sum(batch_dropped)} refinements dropped")
+        compare(out["batched"], rows, keys=("refusal",))
+    if args.against:
+        other = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        other = {"single": other} if isinstance(other, list) else other
+        for kind in [k for k in out if k in other]:
+            compare(out[kind], other[kind], label=f"{kind} against {args.against}: ")
 
 
 if __name__ == "__main__":

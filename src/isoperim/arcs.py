@@ -63,21 +63,21 @@ class PerfectArc:
     ortho_residual: float
 
 
-def two_point_eval(curve: PlaneBoundary, s1, s2, domain=None) -> tuple:
+def two_point_eval(curve: PlaneBoundary, s1, s2, domain=0) -> tuple:
     """(f, ∂f/∂s1, ∂f/∂s2, speed at s1, speed at s2) from one boundary sample.
 
     f = (C1 − C2)·(N1 + N2). s1 and s2 broadcast against each other; each is
-    sampled at its own shape, on a stacked curve (`PlaneBoundary.stack`) at
-    the domain index `domain`, which broadcasts against both. With outward
+    sampled at its own shape, at the domain index `domain`, which broadcasts
+    against both (a lone curve ignores it; see `PlaneBoundary`). With outward
     normal N = (cos θ, sin θ) and T the CCW unit tangent, dC/ds = T and
     dN/ds = κT, so the arclength partials are
         ∂f/∂s1 = T1·N2 + κ1 (C1 − C2)·T1,
         ∂f/∂s2 = −T2·N1 + κ2 (C1 − C2)·T2.
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
-    rows = () if domain is None else (np.concatenate(
-        [np.broadcast_to(domain, x.shape).ravel() for x in (s1, s2)]),)
-    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]), *rows)
+    # the index at each end's shape (a sum is a third of np.broadcast_to's cost)
+    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]), np.concatenate(
+        [(np.zeros(x.shape, dtype=int) + domain).ravel() for x in (s1, s2)]))
     (c1, c2), (t1, t2), (n1, n2), (k1, k2), (w1, w2) = (
         (a[:s1.size].reshape(s1.shape + a.shape[1:]),
          a[s1.size:].reshape(s2.shape + a.shape[1:]))
@@ -166,7 +166,7 @@ class ArcBatch(NamedTuple):
     a_pt: np.ndarray        # shape (n, 2): boundary point at t_lo
     b_pt: np.ndarray
     turning: np.ndarray     # signed half-turning, kept on segments too
-    sample: CurveSamples    # the boundary at t_lo (first n rows), then t_hi
+    sample: CurveSamples    # shape (2, n): the boundary at t_lo (row 0), at t_hi
 
     def error(self, i: int):
         """The exception `build_arc` raises for element i, or None."""
@@ -195,11 +195,9 @@ class ArcBatch(NamedTuple):
             ∂A/∂s_hi = ½(b − a)×T_b − 2c·g·(ĉ·T_b) − c²g′(τ)κ_b/2,
         with g′(τ) = ½ − cos τ (2τ − sin 2τ)/(4 sin³τ) → 1/6 + τ²/15 as τ → 0.
         """
-        s, n = self.sample, len(self.failure)
-        (ta, tb), (ka, kb), (wa, wb) = (
-            (x[:n], x[n:]) for x in (s.tangent, s.curvature, s.speed))
-        _, f_lo, f_hi = _two_point_terms(self.a_pt, self.b_pt, ta, tb,
-                                         s.normal[:n], s.normal[n:], ka, kb)
+        s = self.sample
+        (ta, tb), (ka, kb), (wa, wb) = s.tangent, s.curvature, s.speed
+        _, f_lo, f_hi = _two_point_terms(self.a_pt, self.b_pt, ta, tb, *s.normal, ka, kb)
         tau, chord = self.turning, self.a_pt - self.b_pt
         small = np.abs(tau) < 1e-4
         t = np.where(small, 1.0, tau)  # the series covers the 0/0 at τ = 0
@@ -213,7 +211,7 @@ class ArcBatch(NamedTuple):
         return f_lo * wa, f_hi * wb, a_lo * wa, a_hi * wb
 
 
-def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=None) -> ArcBatch:
+def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=0) -> ArcBatch:
     """Arc kernel: the perfect arcs certified by f(t_lo, t_hi) ≈ 0, on arrays.
 
     The enclosed region is the loop [boundary t_lo → t_hi, arc back]; its
@@ -224,16 +222,13 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=None) -> ArcBatch:
     and the length |chord|·α/sin α. This stays well-conditioned arbitrarily
     close to the straight-chord limit, where the center construction (the
     intersection of the boundary tangent lines) degenerates. Callers keep
-    0 < t_hi − t_lo < 2π. On a stacked curve (`PlaneBoundary.stack`) pair i
-    lies on domain[i].
+    0 < t_hi − t_lo < 2π. Pair i lies on domain i of `domain`, which
+    broadcasts against t_lo (a lone curve ignores it; see `PlaneBoundary`).
     """
     t_lo = np.atleast_1d(np.asarray(t_lo, dtype=float))
     t_hi = np.atleast_1d(np.asarray(t_hi, dtype=float))
-    n = len(t_lo)
-    rows = () if domain is None else (np.atleast_1d(domain),)
-    s = curve.sample(np.concatenate([t_lo, t_hi]), *(np.tile(r, 2) for r in rows))
-    a_pt, b_pt = s.position[:n], s.position[n:]
-    na, nb, ta, tb = s.normal[:n], s.normal[n:], s.tangent[:n], s.tangent[n:]
+    s = curve.sample(np.concatenate([t_lo, t_hi]).reshape(2, -1), domain)
+    (a_pt, b_pt), (na, nb), (ta, tb) = s.position, s.normal, s.tangent
     n_sum = na + nb
     chord = a_pt - b_pt
     chord_len = np.hypot(chord[:, 0], chord[:, 1])
@@ -242,7 +237,7 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=None) -> ArcBatch:
         c_hat = chord / chord_len[:, None]
         residual = chord[:, 0] * n_sum[:, 0] + chord[:, 1] * n_sum[:, 1]
         not_perfect = np.abs(residual) > ARC_F_TOL * np.maximum(chord_len, 1.0)
-        base_area = 0.5 * (curve.moment_between(t_lo, t_hi, *rows) + _cross(b_pt, a_pt))
+        base_area = 0.5 * (curve.moment_between(t_lo, t_hi, domain) + _cross(b_pt, a_pt))
 
         # anti-parallel normals: perfect chord iff it runs along them
         segment = np.hypot(n_sum[:, 0], n_sum[:, 1]) < SEGMENT_NORMAL_TOL
@@ -296,13 +291,13 @@ def _perfect_arcs(curve: PlaneBoundary, t_lo, t_hi) -> list:
     `arc_batch`. Raises the first element's failure."""
     arc = arc_batch(curve, t_lo, t_hi)
     arc.raise_first()
+    contained = _sample_containment(curve, arc.a_pt, arc.b_pt, arc.alpha)
     out = []
     for i, ends in enumerate(zip(map(float, t_lo), map(float, t_hi))):
         a_pt, b_pt, alpha = arc.a_pt[i], arc.b_pt[i], float(arc.alpha[i])
         common = dict(curvature=float(arc.curvature[i]), endpoint_thetas=ends,
                       length=float(arc.length[i]), enclosed_area=float(arc.area[i]),
-                      contained=_sample_containment(curve, a_pt, b_pt, alpha),
-                      ortho_residual=float(arc.ortho[i]))
+                      contained=bool(contained[i]), ortho_residual=float(arc.ortho[i]))
         if arc.segment[i]:
             out.append(PerfectArc("segment", None, None, **common))
             continue
@@ -314,29 +309,31 @@ def _perfect_arcs(curve: PlaneBoundary, t_lo, t_hi) -> list:
     return out
 
 
-def _sample_containment(curve, a_pt, b_pt, alpha):
-    """Test 33 interior arc points against the boundary.
+def _sample_containment(curve, a_pt, b_pt, alpha) -> np.ndarray:
+    """Test 33 interior points of each arc (a_pt[i], b_pt[i], alpha[i])
+    against the boundary, all in one `contains_many` call: one verdict per arc.
 
     Arc points are generated in the chord frame (no center involved): with
     β = |α| and ψ ∈ (−β, β),
     P(ψ) = M + d·(sin ψ/sin β)·ĉ − sign(α)·d·(cos ψ − cos β)/sin β·ĉ⊥,
-    which keeps the sagitta on the side away from the circle center.
+    which keeps the sagitta on the side away from the circle center; a
+    straight chord (|α| < 1e-12) takes evenly spaced points.
     """
     n = 33
-    mid = 0.5 * (a_pt + b_pt)
-    half = 0.5 * (a_pt - b_pt)
-    if abs(alpha) < 1e-12:
-        x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-        pts = mid + np.outer(x, half)
-        return curve.contains_many(pts)
-    perp = np.array([-half[1], half[0]])
-    beta = abs(alpha)
-    psi = np.linspace(-beta, beta, n + 2)[1:-1]
-    along = np.sin(psi) / np.sin(beta)
+    mid = 0.5 * (a_pt + b_pt)[:, None]
+    half = 0.5 * (a_pt - b_pt)[:, None]
+    perp = np.stack([-half[..., 1], half[..., 0]], axis=-1)
+    straight = np.abs(alpha)[:, None] < 1e-12
+    # on a straight chord any β ≠ 0 keeps the discarded arc formulas finite
+    beta = np.where(straight[:, 0], 1.0, np.abs(alpha))
+    psi = np.linspace(-beta, beta, n + 2, axis=1)[:, 1:-1]
+    beta = beta[:, None]
+    along = np.where(straight, np.linspace(-1.0, 1.0, n + 2)[1:-1],
+                     np.sin(psi) / np.sin(beta))
     # cos ψ − cos β via product form, stable for small angles
-    bulge = -np.sign(alpha) * (2.0 * np.sin((beta + psi) / 2.0)
-                               * np.sin((beta - psi) / 2.0)) / np.sin(beta)
-    pts = mid + np.outer(along, half) + np.outer(bulge, perp)
+    bulge = np.where(straight, 0.0, -np.sign(alpha)[:, None] * (
+        2.0 * np.sin((beta + psi) / 2.0) * np.sin((beta - psi) / 2.0)) / np.sin(beta))
+    pts = mid + along[..., None] * half + bulge[..., None] * perp
     return curve.contains_many(pts)
 
 
@@ -345,7 +342,7 @@ def _sample_containment(curve, a_pt, b_pt, alpha):
 # --------------------------------------------------------------------------
 
 def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
-                   domain=None):
+                   domain=0):
     """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
 
     s1 may be a 1-D array of n slices spaced 2π/n apart, giving one root
@@ -355,9 +352,9 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
     n_scan (576 for 96 slices). One `curve.sample` gives h on every node
     pair; each slice scans the other N − 1 nodes in turn, and
     `sign_change_roots` refines every sign-changing cell, reading the s1 end
-    from that sample and sampling only s2. On a stacked curve
-    (`PlaneBoundary.stack`) `domain` lists the domains to scan, all in that
-    one sample and one solve: list j·n + k holds slice k of domain[j].
+    from that sample and sampling only s2. `domain` lists the domains to
+    scan (see `PlaneBoundary`), all in that one sample and one solve: list
+    j·n + k holds slice k of domain[j].
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -365,14 +362,12 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
         raise ValueError("s1 slices must be spaced 2pi/n apart")
     per = max(1, -(-n_scan // n))  # nodes per slice
     nodes = (s1_arr[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
-    m, d = len(nodes), 1 if domain is None else len(domain)
-    # the domain index of points on the j-th listed domain, none if lone
-    on = (lambda j: ()) if domain is None else (lambda j: (np.asarray(domain)[j],))
-    s = curve.sample(np.tile(nodes, d), *on(np.repeat(np.arange(d), m)))
+    dom = np.atleast_1d(domain)
+    m, d = len(nodes), len(dom)
+    s = curve.sample(np.broadcast_to(nodes, (d, m)), dom[:, None])
     # centred per domain: h is translation-invariant, and its expansion
     # rounds at |P|
-    p, t = s.position.reshape(d, m, 2), s.tangent.reshape(d, m, 2)
-    p = p - np.mean(p, axis=1, keepdims=True)
+    p, t = s.position - np.mean(s.position, axis=1, keepdims=True), s.tangent
     a, at = np.einsum("xij,xij->xi", p, t), np.arange(n) * per
 
     def turn(x, shift=0.0):
@@ -389,14 +384,13 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
 
     def h(x, row):  # at (s1[k], x) on domain j, the s1 end read from the sample
         j, k = np.divmod(row, n)
-        end = curve.sample(x, *on(j))
-        i = j * m + at[k]
+        end = curve.sample(x, dom[j])
+        i = j, at[k]
         return _dot(s.position[i] - end.position, s.tangent[i] - end.tangent)
 
-    grid = turn(nodes[None], TWO_PI)[0]
-    if d > 1:
-        grid = np.tile(grid, (d, 1))
-    row, roots = sign_change_roots(h, grid, vals.reshape(d * n, m - 1), 1e-13)
+    grid = np.broadcast_to(turn(nodes[None], TWO_PI), (d, n, m - 1))
+    row, roots = sign_change_roots(h, grid.reshape(d * n, m - 1),
+                                   vals.reshape(d * n, m - 1), 1e-13)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
@@ -412,22 +406,20 @@ def is_circle(curve: PlaneBoundary) -> bool:
     f on a circle is rounding noise, so the root scan cannot be used there."""
     t = np.linspace(0.0, TWO_PI, 24, endpoint=False)[:, None]
     vals = two_point_f_many(curve, t, t + np.linspace(0.3, TWO_PI - 0.3, 24))
-    return float(np.max(np.abs(vals))) < CIRCLE_RESIDUAL_TOL * float(np.sqrt(
-        curve.area() / np.pi))
+    return float(np.max(np.abs(vals))) < CIRCLE_RESIDUAL_TOL * curve.length_scale()
 
 
 # --------------------------------------------------------------------------
 # continuation
 # --------------------------------------------------------------------------
 
-def _correct_s2(curve: PlaneBoundary, s1, s2_guess, domain=None) -> np.ndarray:
+def _correct_s2(curve: PlaneBoundary, s1, s2_guess, domain=0) -> np.ndarray:
     """Newton on s2 holding f(s1, ·) = 0.
 
-    s1, s2_guess and, on a stacked curve, the domain index `domain`
-    broadcast, and each element stops on its own. Returns
-    an array of their broadcast shape, NaN where an element fails: |f| is
-    still above NEWTON_F_TOL after NEWTON_MAX_ITER steps, or s2 meets s1
-    mod 2π, where f vanishes without an arc.
+    s1, s2_guess and the domain index `domain` broadcast, and each element
+    stops on its own. Returns an array of their broadcast shape, NaN where an
+    element fails: |f| is still above NEWTON_F_TOL after NEWTON_MAX_ITER
+    steps, or s2 meets s1 mod 2π, where f vanishes without an arc.
 
     Convergence is judged on the Newton step, not only on |f|: near a vertex
     ∂f/∂s2 scales like the cube of the endpoint offset, so a fixed |f| floor
@@ -438,8 +430,7 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess, domain=None) -> np.ndarray:
     It returns its evaluated point of smallest |f|.
     """
     s1_b, guess, dom = np.broadcast_arrays(np.asarray(s1, dtype=float),
-                                           np.asarray(s2_guess, dtype=float),
-                                           0 if domain is None else domain)
+                                           np.asarray(s2_guess, dtype=float), domain)
     s1_v, s2, dom = s1_b.ravel(), guess.ravel().copy(), dom.ravel()
     best_f, best_s2 = np.full(s2.shape, np.inf), s2.copy()
     prev_step = np.full(s2.shape, np.inf)
@@ -452,8 +443,7 @@ def _correct_s2(curve: PlaneBoundary, s1, s2_guess, domain=None) -> np.ndarray:
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        f, _, g2, _, w2 = two_point_eval(curve, s1_v[idx], s2[idx],
-                                         *(() if domain is None else (dom[idx],)))
+        f, _, g2, _, w2 = two_point_eval(curve, s1_v[idx], s2[idx], dom[idx])
         g2 = g2 * w2  # to a parameter derivative
         better = np.abs(f) < best_f[idx]
         best_f[idx[better]], best_s2[idx[better]] = np.abs(f[better]), s2[idx[better]]

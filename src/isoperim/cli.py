@@ -109,10 +109,11 @@ def cmd_domain_info(args) -> int:
     curve = _load_domain(args)
     report = classify(curve)
     bound = float(np.sqrt(np.pi / report.area))
+    # a relative margin: κ_max and the bound are both inverse lengths
     payload = {**asdict(report), "pestov_ionin": {
         "bound": bound,
-        "satisfied": report.kappa_max >= bound - 1e-12,
-        "strict": report.kappa_max > bound + 1e-12,
+        "satisfied": report.kappa_max >= bound * (1.0 - 1e-12),
+        "strict": report.kappa_max > bound * (1.0 + 1e-12),
     }}
     _emit(_json_dump(payload), args.output)
     return EXIT_OK

@@ -25,7 +25,8 @@ TWO_PI = 2.0 * np.pi
 
 # dense grid size for convexity / extrema scans
 SCAN_NODES = 4096
-# slack of the containment tests, for points on the boundary itself
+# slack of the containment tests, for points on the boundary itself, per
+# unit of the length scale ℓ = √(|Ω|/π)
 CONTAIN_TOL = 1e-9
 
 
@@ -43,28 +44,35 @@ class CurveSamples(NamedTuple):
 class PlaneBoundary:
     """Shared surface of both curve representations.
 
-    `stack` joins curves of one class into one boundary of many domains:
-    its `sample` and `moment_between` take a per-point domain index.
+    `stack` joins curves of one class into one boundary of many domains; its
+    `sample` and `moment_between` read the domain index, which a curve ignores.
     """
 
     # the series that `sample` reads
     _SAMPLED = ()
 
-    def sample(self, theta, domain=None) -> CurveSamples:  # pragma: no cover
+    def sample(self, theta, domain=0) -> CurveSamples:  # pragma: no cover
         raise NotImplementedError
 
     def area(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def moment_between(self, t0, t1, domain=None):
+    def length_scale(self) -> float:
+        """ℓ = √(|Ω|/π), the radius of the disk of equal area: 1 on area-π
+        domains, and the unit of the package's scale-free length tolerances."""
+        return float(np.sqrt(self.area() / np.pi))
+
+    def moment_between(self, t0, t1, domain=0):
         """∫ (x y' − y x') dt over [t0, t1]; twice the swept Green area."""
         return self._moment_series.integral_between(t0, t1, domain)
 
     @classmethod
     def stack(cls, curves) -> "PlaneBoundary":
         """The curves, all of this class, as one boundary whose domain j is
-        curves[j]: each series that `sample` and `moment_between` read holds
-        one coefficient row per domain (`TrigSeries.stack`)."""
+        curves[j] (a stack of one is curves[0]): each series that `sample` and
+        `moment_between` read holds one coefficient row per domain."""
+        if len(curves) == 1:
+            return curves[0]
         out = object.__new__(cls)
         for name in cls._SAMPLED + ("_moment_series",):
             out.__dict__[name] = TrigSeries.stack([getattr(c, name) for c in curves])
@@ -141,7 +149,7 @@ class SupportCurve(PlaneBoundary):
         if self._min_rho <= 0.0:
             raise NonConvex(f"h + h'' has minimum {self._min_rho:.3e} <= 0.0")
 
-    def sample(self, theta, domain=None) -> CurveSamples:
+    def sample(self, theta, domain=0) -> CurveSamples:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         h, hp, rho = TrigSeries.evaluate(theta, self.h_series, self._h_prime,
                                          self.rho_series, domain=domain)
@@ -182,11 +190,14 @@ class SupportCurve(PlaneBoundary):
         normals = np.stack([np.cos(t), np.sin(t)], axis=-1)
         return normals, self.h_series(t)
 
-    def contains_many(self, points) -> bool:
-        """Support test P·N(φ) ≤ h(φ) on a dense grid of directions."""
+    def contains_many(self, points):
+        """Support test P·N(φ) ≤ h(φ) on a dense grid of directions, with
+        slack CONTAIN_TOL·ℓ (`length_scale`). Points of shape (..., n, 2)
+        give one verdict per point set: a bool for one set, else an array."""
         normals, h = self._support_table
-        margins = h[None, :] - np.asarray(points, float) @ normals.T
-        return bool(np.min(margins) >= -CONTAIN_TOL)
+        margins = h - np.asarray(points, float) @ normals.T
+        inside = np.min(margins, axis=(-2, -1)) >= -CONTAIN_TOL * self.length_scale()
+        return inside if inside.ndim else bool(inside)
 
     # --- arclength -----------------------------------------------------------
 
@@ -234,7 +245,7 @@ class RadialCurve(PlaneBoundary):
     def _r_second(self) -> TrigSeries:
         return self._r_prime.derivative()
 
-    def sample(self, u, domain=None) -> CurveSamples:
+    def sample(self, u, domain=0) -> CurveSamples:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         r, rp, rpp = TrigSeries.evaluate(u, self.radius_series, self._r_prime,
                                          self._r_second, domain=domain)
@@ -258,11 +269,14 @@ class RadialCurve(PlaneBoundary):
         u = np.linspace(0.0, TWO_PI, SCAN_NODES, endpoint=False)
         return float(np.min(self.sample(u).curvature))
 
-    def contains_many(self, points) -> bool:
+    def contains_many(self, points):
+        """r ≤ r(u) at each point's polar angle, with slack CONTAIN_TOL·ℓ;
+        one verdict per point set, as for `SupportCurve.contains_many`."""
         p = np.asarray(points, dtype=float)
-        rad = np.hypot(p[:, 0], p[:, 1])
-        bound = self.radius_series(np.arctan2(p[:, 1], p[:, 0]))
-        return bool(np.all(rad <= bound + CONTAIN_TOL))
+        rad = np.hypot(p[..., 0], p[..., 1])
+        bound = self.radius_series(np.arctan2(p[..., 1], p[..., 0]))
+        inside = np.all(rad <= bound + CONTAIN_TOL * self.length_scale(), axis=-1)
+        return inside if inside.ndim else bool(inside)
 
     def scaled(self, lam: float) -> "RadialCurve":
         rs = self.radius_series

@@ -344,10 +344,10 @@ def _branch_slope(arc, first=True) -> tuple:
         return slope, a1 + a2 * slope, a2 / f2
 
 
-def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=None) -> tuple:
+def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=0) -> tuple:
     """Lengths of the arcs at `target` area on branch segments whose end
-    areas straddle it, one element per segment (the arguments broadcast; on
-    a stacked curve segment i lies on domain[i]).
+    areas straddle it, one element per segment (the arguments broadcast;
+    segment i lies on domain[i], see `PlaneBoundary`).
 
     One `arc_batch` of the 2·n end pairs gives each end's area, its branch
     slope ds2/ds1 and the area's derivative dA/ds1 along the branch
@@ -379,12 +379,10 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=None) -> tup
     length and, in `failures`, the exception of each failed segment; None
     where it succeeded.
     """
-    s1_a, s2_a, s1_b, s2_b, target = np.broadcast_arrays(
+    s1_a, s2_a, s1_b, s2_b, target, dom = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
-          for v in (s1_a, s2_a, s1_b, s2_b, target)))
+          for v in (s1_a, s2_a, s1_b, s2_b, target)), domain)
     n = len(s1_a)
-    on = ((lambda lane: ()) if domain is None
-          else (lambda lane, dom=np.broadcast_to(domain, n): (dom[lane],)))
     width = s1_b - s1_a
     chord = (s2_b - s2_a) / width
     failures = [None] * n
@@ -397,7 +395,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=None) -> tup
         # a partner that left the window has jumped to another branch
         inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
                   & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
-        arc = arcsmod.arc_batch(curve, lo[inside], hi[inside], *on(lane[inside]))
+        arc = arcsmod.arc_batch(curve, lo[inside], hi[inside], dom[lane[inside]])
         out = np.full((6, len(s1)), np.nan)
         out[:, inside] = (arc.area - target[lane[inside]], arc.length, s2[inside],
                           *_branch_slope(arc, s1[inside] < s2[inside]))
@@ -454,7 +452,7 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=None) -> tup
     for _ in range(MAX_ITER):
         if not idx.size:
             break
-        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx], *on(idx))
+        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx], dom[idx])
         vals = arcs_at(x[idx], s2, seed_at(x[idx], idx), idx)
         ok = np.array([failures[i] is None for i in idx], dtype=bool)
         idx, vals, xi = idx[ok], vals[:, ok], x[idx[ok]]
@@ -567,20 +565,18 @@ def _branch_pass(domains, asked, n_s1) -> list:
     Independent of every closed form in the package.
     """
     d = len(domains)
-    curve = domains[0] if d == 1 else type(domains[0]).stack(domains)
-    dom = None if d == 1 else np.arange(d)
-    on = (lambda lanes: ()) if dom is None else (lambda lanes: (lanes,))
+    curve = type(domains[0]).stack(domains)
     # half-step offset keeps s1 off symmetry axes, where partner roots are
     # even-order zeros of f(s1, ·) that a sign-change scan cannot see
     step = TWO_PI / n_s1
     s1_grid = (np.arange(n_s1) + 0.5) * step
     try:
-        roots = arcsmod.scan_arc_roots(curve, s1_grid, domain=dom)
+        roots = arcsmod.scan_arc_roots(curve, s1_grid, domain=np.arange(d))
         counts = np.array([len(r) for r in roots]).reshape(d, n_s1)
         s1_all = np.repeat(np.tile(s1_grid, d), counts.ravel())
         s2_all = np.concatenate(roots)
         table = arcsmod.arc_batch(curve, s1_all, s2_all,
-                                  *on(np.repeat(np.arange(d), counts.sum(axis=1))))
+                                  np.repeat(np.arange(d), counts.sum(axis=1)))
         table.raise_first()
     except IsoperimError as exc:
         if d == 1:
@@ -619,7 +615,7 @@ def _branch_pass(domains, asked, n_s1) -> list:
     s1_a = s1_grid[i]
     segments = np.array([s1_a, s1_a + offset[dm, i, r], s1_a + step,
                          s1_a + step + offset[dm, j, k], targets[dm, which]])
-    lengths, failures = _refine_on_branch(curve, *segments, *on(dm))
+    lengths, failures = _refine_on_branch(curve, *segments, dm)
     for (s1_a, _, s1_b, _, target), exc in zip(segments.T, failures):
         if exc is not None:
             log.debug("refinement dropped: %s on s1 in [%.17g, %.17g] "

@@ -20,7 +20,7 @@ class TrigSeries:
     """f(t) = Σ_k cos_c[k]·cos(kt) + sin_c[k]·sin(kt), k = 0..M (sin_c[0] ≡ 0).
 
     A stacked series (`stack`) holds one coefficient row per domain; `evaluate`
-    and `integral_between` then read row domain[i] at point i.
+    and `integral_between` read row domain[i] at point i (a lone one ignores it).
     """
 
     cos_c: np.ndarray
@@ -47,7 +47,9 @@ class TrigSeries:
     @staticmethod
     def stack(series) -> "TrigSeries":
         """The series as the rows of one stacked series, zero-padded to the
-        highest order."""
+        highest order; a stack of one is the series itself."""
+        if len(series) == 1:
+            return series[0]
         m = max(s.order for s in series) + 1
         return TrigSeries(*(np.array([np.pad(getattr(s, name), (0, m - s.order - 1))
                                       for s in series]) for name in ("cos_c", "sin_c")))
@@ -56,12 +58,14 @@ class TrigSeries:
         return TrigSeries.evaluate(t, self)[0]
 
     @staticmethod
-    def evaluate(t, *series, domain=None) -> tuple:
-        """Each series at t, shaped like t, on one cos/sin basis per block;
-        stacked series at the rows `domain`, shaped like t."""
+    def evaluate(t, *series, domain=0) -> tuple:
+        """Each series at t, shaped like t, on one cos/sin basis per block; a
+        stacked series at the rows `domain`, broadcast against t."""
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.ravel()
-        rows_of = None if domain is None else np.ravel(domain)
+        # the series of one call are all lone or all rows of one stack
+        rows_of = (np.broadcast_to(domain, t_arr.shape).ravel()
+                   if series[0].cos_c.ndim > 1 else None)
         k = np.arange(max(s.order for s in series) + 1)
         # an even block keeps BLAS's row pairing of one unblocked product
         rows = max(2, BLOCK_ENTRIES // len(k) // 2 * 2)
@@ -98,19 +102,19 @@ class TrigSeries:
         k = np.arange(self.order + 1, dtype=float)
         return TrigSeries(k * self.sin_c, -k * self.cos_c)
 
-    def integral_between(self, t0, t1, domain=None):
+    def integral_between(self, t0, t1, domain=0):
         """∫_{t0}^{t1} f dt, exact (t0, t1 scalars or arrays); a stacked
-        series at the rows `domain`, shaped like t0 and t1."""
+        series at the rows `domain`, broadcast against t0 and t1."""
         t0 = np.asarray(t0, dtype=float)
         t1 = np.asarray(t1, dtype=float)
         k = np.arange(1, self.order + 1)
         c, s = self.cos_c, self.sin_c
-        if domain is not None:  # each point's own coefficient row
+        if c.ndim > 1:  # each point's own coefficient row
             c, s = c[domain], s[domain]
         a, b = c[..., 1:] / k, s[..., 1:] / k
         def anti(t):
             ang = np.multiply.outer(t, k)
-            if domain is None:
+            if a.ndim == 1:
                 return np.sin(ang) @ a - np.cos(ang) @ b
             return np.sum(np.sin(ang) * a - np.cos(ang) * b, axis=-1)
         out = c[..., 0] * (t1 - t0) + anti(t1) - anti(t0)

@@ -266,13 +266,13 @@ class _Frames:
     def __init__(self, position, normal):
         self.position, self.normal = np.asarray(position), np.asarray(normal)
 
-    def sample(self, theta):
+    def sample(self, theta, domain=0):
         idx = np.asarray(theta, dtype=int)
         n = self.normal[idx]
         return CurveSamples(theta, self.position[idx], np.stack(
-            [-n[:, 1], n[:, 0]], axis=-1), n, np.ones(len(idx)), np.ones(len(idx)))
+            [-n[..., 1], n[..., 0]], axis=-1), n, np.ones(idx.shape), np.ones(idx.shape))
 
-    def moment_between(self, t0, t1):
+    def moment_between(self, t0, t1, domain=0):
         return np.zeros(np.shape(t0))
 
 
@@ -573,10 +573,31 @@ def test_scan_samples_each_node_once(monkeypatch, ellipse_main):
     # allows 10% over that
     points = []
     real_sample = SupportCurve.sample
-    monkeypatch.setattr(SupportCurve, "sample", lambda self, t: points.append(
-        np.size(t)) or real_sample(self, t))
+    monkeypatch.setattr(SupportCurve, "sample", lambda self, t, domain=0: points.append(
+        np.size(t)) or real_sample(self, t, domain))
     arcs.scan_arc_roots(ellipse_main, (np.arange(96) + 0.5) * TWO_PI / 96)
     assert points[0] == 576 and sum(points) <= 1483
+
+
+def test_family_containment_is_one_call(monkeypatch, ellipse_main):
+    # a 12-step family tests its 12 arcs' 33 points each in one contains_many
+    # call, with one verdict per arc; on the ellipse shifted by 0.1 along x
+    # the verdicts are mixed, and each equals its own arc's points alone
+    # (measured bit for bit against one call per arc)
+    calls, real = [], SupportCurve.contains_many
+    monkeypatch.setattr(SupportCurve, "contains_many",
+                        lambda self, pts: calls.append(np.asarray(pts)) or real(self, pts))
+    s2 = arcs.scan_arc_roots(ellipse_main, 0.3)[0]
+    fam = arcs.continue_family(ellipse_main, 0.3, s2, steps=12, ds=0.05)
+    assert len(fam) == 12 and len(calls) == 1 and calls[0].shape == (12, 33, 2)
+    assert all(arc.contained for arc in fam)
+    c = ellipse_main.cos_coeffs
+    shifted = SupportCurve((c[0], 0.1) + c[2:], ellipse_main.sin_coeffs)
+    lo, hi = zip(*(arc.endpoint_thetas for arc in fam))
+    batch = arcs.arc_batch(ellipse_main, lo + (-np.pi / 2.0, 0.0), hi + (np.pi / 2.0, np.pi))
+    got = arcs._sample_containment(shifted, batch.a_pt, batch.b_pt, batch.alpha)
+    assert got.tolist() == [False] * 6 + [True] * 7 + [False]
+    assert got.tolist() == [real(shifted, pts) for pts in calls[-1]]
 
 
 # --- continuation ------------------------------------------------------------

@@ -108,6 +108,18 @@ def test_domain_info_is_scale_free(capsys, scale):
     assert info(scale) == info(1.0)
 
 
+def test_domain_info_pestov_ionin_is_scale_free(capsys):
+    # the margin was 1e-12 absolute, far above κ_max and the bound at 1e60
+    flags = []
+    for s in (1.0, 1e60):
+        code, out, _ = run_cli(["domain-info", "--spec-json",
+                                json.dumps({"support_cos": [s, 0, 0.1 * s]})], capsys)
+        assert code == 0
+        pi = json.loads(out)["pestov_ionin"]
+        flags.append((pi["satisfied"], pi["strict"]))
+    assert flags == [(True, True)] * 2
+
+
 @pytest.mark.parametrize("spec, area", [
     ('{"support_cos": [1e200]}', "inf"),
     ('{"support_cos": [1e-200, 0, 1e-202]}', "0.0"),

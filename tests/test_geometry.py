@@ -279,6 +279,30 @@ def test_radial_contains():
     assert not any(curve.contains_many([p]) for p in 1.01 * ring)
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_containment_is_scale_free(scale):
+    # the slack is CONTAIN_TOL·√(|Ω|/π): absolute, a point 5 radii out of
+    # disk(1e-10) passed, and rounding put boundary points of disk(1e10) out
+    u = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    ring = np.column_stack([np.cos(u), np.sin(u)])
+    radial = RadialCurve(TrigSeries(np.array([1.0, 0.0, 0.05]),
+                                    np.array([0.0, 0.0, 0.03]))).scaled(scale)
+    for curve, edge in ((SupportCurve.disk(scale), scale * ring),
+                        (radial, radial.sample(u).position)):
+        assert curve.contains_many(edge)
+        assert not any(curve.contains_many([p]) for p in 1.001 * edge)
+    assert not SupportCurve.disk(scale).contains_many([[5.0 * scale, 0.0]])
+
+
+def test_containment_gives_one_verdict_per_point_set(ellipse_main):
+    sets = np.array([[[0.0, 0.0], [1.2, 0.0]], [[0.0, 0.0], [1.5, 0.0]],
+                     [[0.0, 0.9], [0.0, 0.0]]])
+    for curve in (ellipse_main, RadialCurve(TrigSeries(np.array([1.0]), np.array([0.0])))):
+        got = curve.contains_many(sets)
+        assert got.tolist() == [curve.contains_many(s) for s in sets]
+    assert ellipse_main.contains_many(sets).tolist() == [True, False, False]
+
+
 # --- domain specs ------------------------------------------------------------
 
 def test_domain_from_spec_forms():

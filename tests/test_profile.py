@@ -365,7 +365,9 @@ def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
     for a in areas:
         prof.general_profile_oracle(curve, a)
     assert len(batches) == len(areas)
-    for (_, *segments), (length, failures) in batches:
+    for (_, *segments, domain), (length, failures) in batches:
+        # a lone curve's pass puts every segment on its one domain, 0
+        assert not np.any(domain)
         assert len(length) == len(failures) == len(segments[0]) > 1
         for i, seg in enumerate(zip(*segments)):
             # the oracle value bound: both solvers stop at 1e-14 in s1, and
@@ -457,7 +459,7 @@ def _forced_lane_failure(monkeypatch, ellipse_main, patch):
                         lambda *args: calls.append(args) or refine(*args))
     prof.general_profile_oracle(ellipse_main, 1.0)
     monkeypatch.setattr(prof, "_refine_on_branch", refine)
-    curve, s1_a, s2_a, s1_b, s2_b, target = calls[0]
+    curve, s1_a, s2_a, s1_b, s2_b, target, _ = calls[0]
     clean, clean_failures = refine(*calls[0])
     assert all(exc is None for exc in clean_failures) and len(s1_a) > 3
     patch(monkeypatch, s1_a[2], s1_b[2])
@@ -473,8 +475,8 @@ def test_refinement_records_corrector_failure_lane(monkeypatch, ellipse_main):
     def patch(monkeypatch, lo, hi):
         correct = arcs._correct_s2
 
-        def failing(curve, s1, seed):
-            s2 = correct(curve, s1, seed)
+        def failing(curve, s1, seed, domain=0):
+            s2 = correct(curve, s1, seed, domain)
             return np.where((s1 >= lo) & (s1 <= hi), np.nan, s2)
         monkeypatch.setattr(arcs, "_correct_s2", failing)
 
@@ -486,8 +488,8 @@ def test_refinement_records_arc_kernel_failure_lane(monkeypatch, ellipse_main):
     def patch(monkeypatch, lo, hi):
         kernel = arcs.arc_batch
 
-        def failing(curve, t_lo, t_hi):
-            batch = kernel(curve, t_lo, t_hi)
+        def failing(curve, t_lo, t_hi, domain=0):
+            batch = kernel(curve, t_lo, t_hi, domain)
             # lane 2's s1 is the lower end of its pair
             hit = (np.asarray(t_lo) >= lo) & (np.asarray(t_lo) <= hi)
             return batch._replace(failure=np.where(hit, 1, batch.failure))
@@ -564,14 +566,14 @@ def test_refinement_records_area_jump_lane(monkeypatch, ellipse_main):
                         lambda *args: calls.append(args) or refine(*args))
     prof.general_profile_oracle(ellipse_main, 1.0)
     monkeypatch.setattr(prof, "_refine_on_branch", refine)
-    _, s1_a, _, s1_b, _, target = calls[0]
+    _, s1_a, _, s1_b, _, target, _ = calls[0]
     clean, _ = refine(*calls[0])
     kernel = arcs.arc_batch
 
-    def jumping(curve, t_lo, t_hi):
+    def jumping(curve, t_lo, t_hi, domain=0):
         # lane 2's areas lifted 1e-6 away from its target on both sides of
         # the solution: the area jumps across the target instead of crossing
-        batch = kernel(curve, t_lo, t_hi)
+        batch = kernel(curve, t_lo, t_hi, domain)
         hit = (np.asarray(t_lo) >= s1_a[2]) & (np.asarray(t_lo) <= s1_b[2])
         away = 1e-6 * np.sign(batch.area - target[2])
         return batch._replace(area=np.where(hit, batch.area + away, batch.area))
@@ -746,7 +748,7 @@ def test_array_matching_equals_the_root_loop(monkeypatch, name, areas,
     for a in areas:
         prof.general_profile_oracle(curve, a)
     assert len(calls) == len(areas)
-    for a, (_, *segments) in zip(areas, calls):
+    for a, (_, *segments, _) in zip(areas, calls):
         got = [tuple(map(float, seg)) for seg in zip(*segments)]
         assert len(got) == len(set(got)) > 1
         assert set(got) == match_segments_one_root_at_a_time(curve, a)

@@ -40,8 +40,11 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     values = tmp_path / "oracle_values.json"
     script = run_script(monkeypatch, "oracle_values.py", "--out", str(values),
                         "--batched")
-    rows = json.loads(values.read_text(encoding="utf-8"))
-    assert len(rows) == 55
+    written = json.loads(values.read_text(encoding="utf-8"))
+    rows, batched = written["single"], written["batched"]
+    assert len(rows) == len(batched) == 55
+    assert [r["case"] for r in batched] == [r["case"] for r in rows]
+    assert [r["refusal"] for r in batched] == [r["refusal"] for r in rows]
     assert [(r["case"], r["refusal"]) for r in rows if r["refusal"]] == [
         ("asymmetric A=0.005", "NoArcAtArea")]
     assert sum(r["dropped"] for r in rows) == 4
@@ -57,3 +60,7 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "asymmetric A=0.005: dropped 0 -> 1",
         "largest value change: 0.000e+00 (cos 2u b=0.85 s=0.001)"]
+    # --against labels each kind of row it compares
+    script["compare"](batched, batched, keys=("refusal",), label="batched against x: ")
+    assert capsys.readouterr().out.splitlines() == [
+        "batched against x: largest value change: 0.000e+00 (cos 2u b=0.85 s=0.001)"]
