@@ -18,8 +18,7 @@ prints their refusals and dropped refinements, the largest value change
 from one call per pair, and every refusal that differs. With
 `--against OTHER.json` it prints, for the single rows and for the batched
 rows that both runs hold, the largest value change against the other run and
-every call whose refusal or drop count differs. OTHER.json may also be a
-plain list of single rows, as written before the batched rows were kept.
+every call whose refusal or drop count differs.
 """
 
 import argparse
@@ -140,7 +139,6 @@ def main():
         compare(out["batched"], rows, keys=("refusal",))
     if args.against:
         other = json.loads(Path(args.against).read_text(encoding="utf-8"))
-        other = {"single": other} if isinstance(other, list) else other
         for kind in [k for k in out if k in other]:
             compare(out[kind], other[kind], label=f"{kind} against {args.against}: ")
 

@@ -75,9 +75,11 @@ def two_point_eval(curve: PlaneBoundary, s1, s2, domain=0) -> tuple:
         ∂f/∂s2 = −T2·N1 + κ2 (C1 − C2)·T2.
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
-    # the index at each end's shape (a sum is a third of np.broadcast_to's cost)
-    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]), np.concatenate(
-        [(np.zeros(x.shape, dtype=int) + domain).ravel() for x in (s1, s2)]))
+    # an index array at each end's shape (a sum is a third of np.broadcast_to's
+    # cost); a scalar holds for both ends as it is
+    dom = domain if np.ndim(domain) == 0 else np.concatenate(
+        [(np.zeros(x.shape, dtype=int) + domain).ravel() for x in (s1, s2)])
+    s = curve.sample(np.concatenate([s1.ravel(), s2.ravel()]), dom)
     (c1, c2), (t1, t2), (n1, n2), (k1, k2), (w1, w2) = (
         (a[:s1.size].reshape(s1.shape + a.shape[1:]),
          a[s1.size:].reshape(s2.shape + a.shape[1:]))
@@ -221,12 +223,15 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=0) -> ArcBatch:
     is 2 sin α/|chord| (positive when the closing leg turns counterclockwise)
     and the length |chord|·α/sin α. This stays well-conditioned arbitrarily
     close to the straight-chord limit, where the center construction (the
-    intersection of the boundary tangent lines) degenerates. Callers keep
+    intersection of the boundary tangent lines) degenerates. t_lo and t_hi
+    are scalars or 1-D arrays of one length; callers keep
     0 < t_hi − t_lo < 2π. Pair i lies on domain i of `domain`, which
-    broadcasts against t_lo (a lone curve ignores it; see `PlaneBoundary`).
+    broadcasts against them (a lone curve ignores it; see `PlaneBoundary`).
     """
     t_lo = np.atleast_1d(np.asarray(t_lo, dtype=float))
     t_hi = np.atleast_1d(np.asarray(t_hi, dtype=float))
+    if t_lo.shape != t_hi.shape:
+        raise ValueError("t_lo and t_hi must have one length")
     s = curve.sample(np.concatenate([t_lo, t_hi]).reshape(2, -1), domain)
     (a_pt, b_pt), (na, nb), (ta, tb) = s.position, s.normal, s.tangent
     n_sum = na + nb
@@ -316,23 +321,21 @@ def _sample_containment(curve, a_pt, b_pt, alpha) -> np.ndarray:
     Arc points are generated in the chord frame (no center involved): with
     β = |α| and ψ ∈ (−β, β),
     P(ψ) = M + d·(sin ψ/sin β)·ĉ − sign(α)·d·(cos ψ − cos β)/sin β·ĉ⊥,
-    which keeps the sagitta on the side away from the circle center; a
-    straight chord (|α| < 1e-12) takes evenly spaced points.
+    which keeps the sagitta on the side away from the circle center. A
+    straight chord (α = 0) is the limit β → 0, which a floor on β reaches:
+    evenly spaced points and no bulge.
     """
     n = 33
     mid = 0.5 * (a_pt + b_pt)[:, None]
     half = 0.5 * (a_pt - b_pt)[:, None]
     perp = np.stack([-half[..., 1], half[..., 0]], axis=-1)
-    straight = np.abs(alpha)[:, None] < 1e-12
-    # on a straight chord any β ≠ 0 keeps the discarded arc formulas finite
-    beta = np.where(straight[:, 0], 1.0, np.abs(alpha))
+    beta = np.maximum(np.abs(alpha), 1e-300)
     psi = np.linspace(-beta, beta, n + 2, axis=1)[:, 1:-1]
     beta = beta[:, None]
-    along = np.where(straight, np.linspace(-1.0, 1.0, n + 2)[1:-1],
-                     np.sin(psi) / np.sin(beta))
+    along = np.sin(psi) / np.sin(beta)
     # cos ψ − cos β via product form, stable for small angles
-    bulge = np.where(straight, 0.0, -np.sign(alpha)[:, None] * (
-        2.0 * np.sin((beta + psi) / 2.0) * np.sin((beta - psi) / 2.0)) / np.sin(beta))
+    bulge = -np.sign(alpha)[:, None] * (
+        2.0 * np.sin((beta + psi) / 2.0) * np.sin((beta - psi) / 2.0)) / np.sin(beta)
     pts = mid + along[..., None] * half + bulge[..., None] * perp
     return curve.contains_many(pts)
 

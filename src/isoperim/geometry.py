@@ -195,8 +195,9 @@ class SupportCurve(PlaneBoundary):
         slack CONTAIN_TOL·ℓ (`length_scale`). Points of shape (..., n, 2)
         give one verdict per point set: a bool for one set, else an array."""
         normals, h = self._support_table
-        margins = h - np.asarray(points, float) @ normals.T
-        inside = np.min(margins, axis=(-2, -1)) >= -CONTAIN_TOL * self.length_scale()
+        # h − max P·N is min(h − P·N) exactly, on a table n times smaller
+        reach = np.max(np.asarray(points, float) @ normals.T, axis=-2)
+        inside = np.min(h - reach, axis=-1) >= -CONTAIN_TOL * self.length_scale()
         return inside if inside.ndim else bool(inside)
 
     # --- arclength -----------------------------------------------------------

@@ -20,7 +20,8 @@ class TrigSeries:
     """f(t) = Σ_k cos_c[k]·cos(kt) + sin_c[k]·sin(kt), k = 0..M (sin_c[0] ≡ 0).
 
     A stacked series (`stack`) holds one coefficient row per domain; `evaluate`
-    and `integral_between` read row domain[i] at point i (a lone one ignores it).
+    and `integral_between` read row domain[i] at point i, so they need an
+    array index there (a lone one ignores it).
     """
 
     cos_c: np.ndarray
@@ -64,7 +65,7 @@ class TrigSeries:
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.ravel()
         # the series of one call are all lone or all rows of one stack
-        rows_of = (np.broadcast_to(domain, t_arr.shape).ravel()
+        rows_of = (np.broadcast_to(_rows(domain), t_arr.shape).ravel()
                    if series[0].cos_c.ndim > 1 else None)
         k = np.arange(max(s.order for s in series) + 1)
         # an even block keeps BLAS's row pairing of one unblocked product
@@ -110,7 +111,8 @@ class TrigSeries:
         k = np.arange(1, self.order + 1)
         c, s = self.cos_c, self.sin_c
         if c.ndim > 1:  # each point's own coefficient row
-            c, s = c[domain], s[domain]
+            rows = _rows(domain)
+            c, s = c[rows], s[rows]
         a, b = c[..., 1:] / k, s[..., 1:] / k
         def anti(t):
             ang = np.multiply.outer(t, k)
@@ -132,6 +134,13 @@ class TrigSeries:
         keep = np.nonzero(mag > floor)[0]
         m = int(keep.max()) if len(keep) else 0
         return TrigSeries(self.cos_c[: m + 1], self.sin_c[: m + 1])
+
+
+def _rows(domain):
+    """A stacked series' row per point; a scalar there is a lost index."""
+    if np.ndim(domain) == 0:
+        raise ValueError("a stacked series needs an array of domain indices")
+    return domain
 
 
 def _to_complex(f: TrigSeries) -> np.ndarray:

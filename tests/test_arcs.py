@@ -291,6 +291,25 @@ def _kernel_pairs(curve, rng):
             np.concatenate([p[1] for p in pairs]))
 
 
+def test_arc_kernel_refuses_ends_of_two_lengths(ellipse_main):
+    # one t_lo and three t_hi would otherwise pair up as two wrong pairs
+    with pytest.raises(ValueError, match="one length"):
+        arcs.arc_batch(ellipse_main, [0.1], [1.0, 2.0, 3.0])
+
+
+def test_stacked_curve_needs_its_domain_index(ellipse_main, fourier_domain):
+    # without an index array every point of a two-curve stack would read the
+    # first curve; with one, each point reads its own curve
+    stack = SupportCurve.stack([ellipse_main, fourier_domain])
+    with pytest.raises(ValueError, match="domain indices"):
+        arcs.two_point_eval(stack, 0.3, 1.2)
+    with pytest.raises(ValueError, match="domain indices"):
+        stack.moment_between(0.3, 1.2)
+    f = arcs.two_point_eval(stack, [0.3, 0.3], [1.2, 1.2], [0, 1])[0]
+    assert f == pytest.approx([arcs.two_point_f(c, 0.3, 1.2)
+                               for c in (ellipse_main, fourier_domain)], abs=1e-14)
+
+
 def test_arc_kernel_matches_scalar_math(monkeypatch, ellipse_main, fourier_domain):
     # one float64 evaluation differs from another only in the summation order
     # of the closed-form boundary moment and of 2-vector dot products: allow
