@@ -9,16 +9,19 @@ The calls:
     (1, 0, 0.1, 0, 0.003) and the asymmetric domain (1, 0.05, 0.03), (0, 0.02),
     the last two normalized to area pi, each at A in {5e-3, 0.05, 0.5, 1.2, pi/2}.
 
-Per call it records the value or the type of the refusal, and how many
-refinements the oracle dropped (its `isoperim` debug log); the JSON holds
-these rows under "single". With `--batched` it also runs the 55 calls as 11
-calls of `oracle_pairs`, one per batch (each experiment's five domains, then
-each domain at its five areas), writes their rows under "batched", and
-prints their refusals and dropped refinements, the largest value change
-from one call per pair, and every refusal that differs. With
-`--against OTHER.json` it prints, for the single rows and for the batched
-rows that both runs hold, the largest value change against the other run and
-every call whose refusal or drop count differs.
+Per call it records the value or the type of the refusal, how many
+refinements the oracle dropped (its `isoperim` debug log) and how many
+boundary samples it took (`SupportCurve.sample` plus `RadialCurve.sample`
+calls); the JSON holds these rows under "single". With `--batched` it also
+runs the 55 calls as 11 calls of `oracle_pairs`, one per batch (each
+experiment's five domains, then each domain at its five areas), writes their
+rows under "batched", and prints their refusals and dropped refinements, the
+largest value change from one call per pair, and every refusal that
+differs. With `--against OTHER.json` it prints, for the single rows and for
+the batched rows that both runs hold, the largest value change against the
+other run and every call whose refusal or drop count differs; for the single
+rows it also prints the boundary-sample totals, other -> this run, and every
+call whose count rose.
 """
 
 import argparse
@@ -34,7 +37,7 @@ import numpy as np
 from isoperim import disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
-from isoperim.geometry import SupportCurve
+from isoperim.geometry import RadialCurve, SupportCurve
 
 S_GRID = pert.ExperimentConfig().s_grid
 AREAS = (5e-3, 0.05, 0.5, 1.2, np.pi / 2.0)
@@ -61,29 +64,42 @@ def batches():
 
 
 class DropCounter(logging.Handler):
-    """Counts the oracle's "refinement dropped" debug records."""
+    """Counts the oracle's "refinement dropped" debug records and, in
+    `samples`, the boundary samples that `counting` reports."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.count = 0
+        self.count = self.samples = 0
 
     def emit(self, record):
         self.count += "refinement dropped" in record.getMessage()
 
 
+def counting(sample, counter):
+    """`sample` that adds one to `counter.samples` per call."""
+    def counted(self, *args, **kwargs):
+        counter.samples += 1
+        return sample(self, *args, **kwargs)
+    return counted
+
+
 def run(batched=False) -> tuple:
     """(rows, dropped): one row per call, and the refinements dropped by each
     oracle call, which is one call per pair or, if `batched`, one per batch.
-    A row's "dropped" is its call's count, None when batched."""
+    A row's "dropped" and "samples" are its call's counts, None when
+    batched."""
     logger, counter = logging.getLogger("isoperim"), DropCounter()
     level = logger.level
     logger.addHandler(counter)
     logger.setLevel(logging.DEBUG)
+    samplers = {cls: cls.sample for cls in (SupportCurve, RadialCurve)}
+    for cls, sample in samplers.items():
+        cls.sample = counting(sample, counter)
     rows, dropped = [], []
     try:
         for batch in batches():
             for call in [batch] if batched else [[case] for case in batch]:
-                counter.count = 0
+                counter.count = counter.samples = 0
                 values, errors = prof.oracle_pairs([c for _, c, _ in call],
                                                    [a for _, _, a in call], prof.N_S1)
                 for (name, _, area), value, exc in zip(call, values, errors):
@@ -91,9 +107,12 @@ def run(batched=False) -> tuple:
                     rows.append({"case": name, "area": area,
                                  "value": None if refused else float(value),
                                  "refusal": type(exc).__name__ if refused else None,
-                                 "dropped": None if batched else counter.count})
+                                 "dropped": None if batched else counter.count,
+                                 "samples": None if batched else counter.samples})
                 dropped.append(counter.count)
     finally:
+        for cls, sample in samplers.items():
+            cls.sample = sample
         logger.removeHandler(counter)
         logger.setLevel(level)
     return rows, dropped
@@ -116,6 +135,17 @@ def compare(rows: list, other: list, keys=("refusal", "dropped"), label=""):
     print(f"{label}largest value change: {worst:.3e} ({where})")
 
 
+def compare_work(rows: list, other: list, label=""):
+    """Print the boundary-sample totals, `other` -> `rows`, and every call
+    whose count rose, each line after `label`."""
+    totals = [sum(r.get("samples") or 0 for r in run) for run in (other, rows)]
+    print(f"{label}boundary samples: {totals[0]} -> {totals[1]}")
+    for new, old in zip(rows, other):
+        if (new.get("samples") or 0) > (old.get("samples") or 0):
+            print(f"{label}{new['case']}: samples {old.get('samples')} "
+                  f"-> {new['samples']}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="oracle_values.json")
@@ -130,7 +160,8 @@ def main():
     Path(args.out).write_text(json.dumps(out, indent=1), encoding="utf-8")
     refused = sum(r["refusal"] is not None for r in rows)
     print(f"wrote {args.out}: {len(rows)} calls, {refused} refused, "
-          f"{sum(dropped)} refinements dropped")
+          f"{sum(dropped)} refinements dropped, "
+          f"{sum(r['samples'] for r in rows)} boundary samples")
     if args.batched:
         print(f"batched: {len(batch_dropped)} calls, "
               + ", ".join(f"{r['case']} refused ({r['refusal']})"
@@ -141,6 +172,7 @@ def main():
         other = json.loads(Path(args.against).read_text(encoding="utf-8"))
         for kind in [k for k in out if k in other]:
             compare(out[kind], other[kind], label=f"{kind} against {args.against}: ")
+        compare_work(rows, other["single"], label=f"single against {args.against}: ")
 
 
 if __name__ == "__main__":

@@ -357,7 +357,7 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
     `sign_change_roots` refines every sign-changing cell, reading the s1 end
     from that sample and sampling only s2. `domain` lists the domains to
     scan (see `PlaneBoundary`), all in that one sample and one solve: list
-    j·n + k holds slice k of domain[j].
+    j·n + k holds slice k of domain[j]; a scalar s1 takes one domain.
     """
     s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
     n = len(s1_arr)
@@ -367,6 +367,8 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
     nodes = (s1_arr[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
     dom = np.atleast_1d(domain)
     m, d = len(nodes), len(dom)
+    if d > 1 and not np.ndim(s1):
+        raise ValueError("a scalar s1 has one root list: scan one domain")
     s = curve.sample(np.broadcast_to(nodes, (d, m)), dom[:, None])
     # centred per domain: h is translation-invariant, and its expansion
     # rounds at |P|

@@ -70,10 +70,15 @@ class PlaneBoundary:
     def stack(cls, curves) -> "PlaneBoundary":
         """The curves, all of this class, as one boundary whose domain j is
         curves[j] (a stack of one is curves[0]): each series that `sample` and
-        `moment_between` read holds one coefficient row per domain."""
+        `moment_between` read holds one coefficient row per domain. A stack
+        of several has no one area, so neither `area` nor `length_scale`."""
         if len(curves) == 1:
             return curves[0]
         out = object.__new__(cls)
+
+        def area():
+            raise ValueError(f"a stack of {len(curves)} domains has no one area")
+        out.area = area
         for name in cls._SAMPLED + ("_moment_series",):
             out.__dict__[name] = TrigSeries.stack([getattr(c, name) for c in curves])
         return out

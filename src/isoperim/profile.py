@@ -331,17 +331,17 @@ def _circle_profile_value(curve: PlaneBoundary, target: float) -> float:
 
 
 def _branch_slope(arc, first=True) -> tuple:
-    """Rates along f = 0 through each pair of `arc`, whose lo end is s1 where
-    `first`, from the pair's own boundary sample (`ArcBatch.pair_partials`):
-    the slope ds2/ds1 = −(∂f/∂s1)/(∂f/∂s2), the area's derivative
-    dA/ds1 = ∂A/∂s1 + ∂A/∂s2·ds2/ds1 along the branch, and ∂A/∂f at fixed s1.
-    None is finite where ∂f/∂s2 = 0."""
+    """Rates at each pair of `arc`, whose lo end is s1 where `first`, from the
+    pair's own boundary sample (`ArcBatch.pair_partials`): along f = 0 the
+    slope ds2/ds1 = −(∂f/∂s1)/(∂f/∂s2) and the area's derivative
+    dA/ds1 = ∂A/∂s1 + ∂A/∂s2·ds2/ds1; at fixed s1, ∂A/∂f and
+    ∂s2/∂f = 1/(∂f/∂s2). None is finite where ∂f/∂s2 = 0."""
     f_lo, f_hi, a_lo, a_hi = arc.pair_partials()
     f1, f2, a1, a2 = (np.where(first, x, y) for x, y in (
         (f_lo, f_hi), (f_hi, f_lo), (a_lo, a_hi), (a_hi, a_lo)))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = -f1 / f2
-        return slope, a1 + a2 * slope, a2 / f2
+        return slope, a1 + a2 * slope, a2 / f2, 1.0 / f2
 
 
 def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=0) -> tuple:
@@ -349,35 +349,35 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=0) -> tuple:
     areas straddle it, one element per segment (the arguments broadcast;
     segment i lies on domain[i], see `PlaneBoundary`).
 
-    One `arc_batch` of the 2·n end pairs gives each end's area, its branch
-    slope ds2/ds1 and the area's derivative dA/ds1 along the branch
-    (`_branch_slope`). On the branch s2 is a function of s1, and so is the
-    area; a safeguarded Newton iteration in s1 solves A(s1, s2(s1)) = target
-    on every segment at once. It starts from the Newton step of the end
-    nearer the target, or from the secant of the ends where that step
-    leaves the segment, and keeps the segment as a bracket: a Newton step
-    that leaves the bracket becomes a bisection. Each iterate's s2 comes
-    from the corrector, seeded by the tangent predictor from the lane's
-    previous iterate after a Newton step and by the segment's seed (below)
-    after a bisection or at the first iterate; every derivative comes from
-    the iterate's own `arc_batch` sample. A lane stops once its Newton step is
-    below 1e-14 + XRTOL·|s1| (the old solve's s1 accuracy), its bracket is
-    narrower than that, or its miss lies within the area that the
-    corrector's |f| tolerance is worth and the step no longer shrinks. It
-    returns its best iterate (the smallest miss). A segment whose end areas
-    lie on one side of the target keeps the end nearer to it.
+    Every segment at once, one `arc_batch` per iterate: Newton on the pair
+    (f, A − target) in (s1, s2), with the Jacobian from the iterate's own
+    sample (`_branch_slope`). Eliminating ds2 gives ds1 = −m/(dA/ds1 along
+    the branch), where m = (A − target) − (∂A/∂f)·f is the area miss carried
+    to the branch at fixed s1, and ds2 = (ds2/ds1)·ds1 − f·∂s2/∂f. An f
+    within its rounding, eps·(|a| + |b|) for the endpoints a and b, counts
+    as 0 there: ∂A/∂f and ∂s2/∂f would lift its noise far above the miss.
+    The first iterate is the Newton step of the end nearer the target, or
+    the ends' secant where that leaves the segment, at the segment's seed:
+    the cubic Hermite interpolant of the end roots and slopes, or their
+    chord where that is not finite or strays from it by more than
+    BRANCH_HALFWIDTH / 2. The segment is an s1 bracket that keeps the sign
+    of m at its ends; only an iterate that passes the kernel's |f| test
+    (failure code ≠ 1) moves it, and one that does not, or whose bracket has
+    closed, takes only the s2 step. A Newton step that leaves the bracket
+    becomes a bisection, with s2 at the seed. A point is certified where
+    `arc_batch` accepts it and |f| ≤ NEWTON_F_TOL. A lane stops at a
+    certified iterate once its s1 step or bracket is below
+    1e-14 + XRTOL·|s1|, and returns its certified point (an end or an
+    iterate) of smallest |A − target|.
 
-    The segment's seed is the cubic Hermite interpolant of its end roots and
-    slopes, or the chord between the ends where that interpolant is not
-    finite or strays from the chord by more than BRANCH_HALFWIDTH / 2; it
-    depends only on the segment and s1. A segment fails at the first
-    iterate where the corrector fails (NoConvergence), the pair leaves the
-    window 0 < hi − lo < 2π or s2 moves more than BRANCH_HALFWIDTH from that
-    seed (NoArcAtArea), or `arc_batch` rejects the pair. It also fails
-    (NoArcAtArea) where the best miss exceeds what the stop rule allows: the
-    bracket then closed on a jump in area. Returns (length, failures): NaN
-    length and, in `failures`, the exception of each failed segment; None
-    where it succeeded.
+    A segment fails where `arc_batch` rejects an end, where an iterate
+    leaves the window 0 < hi − lo < 2π or moves s2 more than
+    BRANCH_HALFWIDTH from the seed (NoArcAtArea), or where it has no
+    certified point (NoConvergence). It also fails (NoArcAtArea) where the
+    best miss exceeds the area that the stop rule leaves, the s1 tolerance
+    times |dA/ds1| plus |∂A/∂f|·NEWTON_F_TOL: the bracket closed on a jump.
+    Returns (length, failures): NaN length and, in `failures`, the exception
+    of each failed segment; None where it succeeded.
     """
     s1_a, s2_a, s1_b, s2_b, target, dom = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
@@ -388,33 +388,36 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=0) -> tuple:
     failures = [None] * n
 
     def arcs_at(s1, s2, seed, lane):
-        """(area − target, length, s2, ds2/ds1, dA/ds1, ∂A/∂f) at the pairs
-        (s1, s2) of lanes `lane`, with `seed` the window check's s2. A failed
-        pair is recorded against its lane and reads NaN."""
+        """Rows (|A − target| where certified, else inf; length; failure
+        code; ds2/ds1; dA/ds1; ∂A/∂f; the s2 step to f = 0; m) at the pairs
+        (s1, s2) of lanes `lane`, and their `arc_batch`. A pair out of the
+        window around `seed` fails its lane and reads NaN."""
         lo, hi = np.fmin(s1, s2), np.fmax(s1, s2)
         # a partner that left the window has jumped to another branch
         inside = ((hi - lo > 0.0) & (hi - lo < TWO_PI)
                   & (np.abs(s2 - seed) <= BRANCH_HALFWIDTH))
+        for i in lane[~inside]:
+            failures[i] = failures[i] or NoArcAtArea("branch left the parameter window")
         arc = arcsmod.arc_batch(curve, lo[inside], hi[inside], dom[lane[inside]])
-        out = np.full((6, len(s1)), np.nan)
-        out[:, inside] = (arc.area - target[lane[inside]], arc.length, s2[inside],
-                          *_branch_slope(arc, s1[inside] < s2[inside]))
-        bad = ~inside
-        bad[inside] = arc.failure != 0
-        for i in np.flatnonzero(bad):
-            if np.isnan(s2[i]):
-                exc = NoConvergence(f"corrector failed at s1={s1[i]:.6f}")
-            elif not inside[i]:
-                exc = NoArcAtArea("branch left the parameter window")
-            else:
-                exc = arc.error(np.count_nonzero(inside[:i]))
-            failures[lane[i]] = failures[lane[i]] or exc
-        out[:, bad] = np.nan
-        return out
+        slope, d_area, da_df, ds2_df = _branch_slope(arc, s1[inside] < s2[inside])
+        miss, f = arc.area - target[lane[inside]], arc.residual
+        sure = (arc.failure == 0) & (np.abs(f) <= arcsmod.NEWTON_F_TOL)
+        f = np.where(np.abs(f) > np.finfo(float).eps * (
+            np.hypot(*arc.a_pt.T) + np.hypot(*arc.b_pt.T)), f, 0.0)
+        out = np.full((8, len(s1)), np.nan)
+        out[:, inside] = (np.where(sure, np.abs(miss), np.inf), arc.length,
+                          arc.failure, slope, d_area, da_df, -f * ds2_df,
+                          miss - da_df * f)
+        return out, arc
+
+    def alive(lane):
+        return np.array([failures[i] is None for i in lane], dtype=bool)
 
     lanes = np.arange(n)
-    ends = arcs_at(np.concatenate([s1_a, s1_b]), np.concatenate([s2_a, s2_b]),
-                   np.concatenate([s2_a, s2_b]), np.tile(lanes, 2))
+    ends, arc = arcs_at(np.concatenate([s1_a, s1_b]), np.concatenate([s2_a, s2_b]),
+                        np.concatenate([s2_a, s2_b]), np.tile(lanes, 2))
+    for i in np.flatnonzero(arc.failure):
+        failures[i % n] = failures[i % n] or arc.error(i)
     end_a, end_b = ends[:, :n], ends[:, n:]
     # the branch's slopes ds2/ds1 at both ends, less the chord's
     bend_a, bend_b = end_a[3] - chord, end_b[3] - chord
@@ -431,74 +434,59 @@ def _refine_on_branch(curve, s1_a, s2_a, s1_b, s2_b, target, domain=0) -> tuple:
             keep = np.isfinite(bend) & (np.abs(bend) <= BRANCH_HALFWIDTH / 2.0)
         return line + np.where(keep, bend, 0.0)
 
-    # each lane's best point (smallest |A − target|): its s1 and arcs_at's rows
-    near = np.abs(end_a[0]) <= np.abs(end_b[0])
+    # the bracket: xa keeps the sign of the a end's carried miss fa, xb of fb
+    xa, fa, xb, fb = s1_a.copy(), end_a[7], s1_b.copy(), end_b[7]
+    # each lane's best certified point, its s1 and arcs_at's rows: the end
+    # nearer the target to start
+    near = np.abs(fa) <= np.abs(fb)
     best_s1, best = np.where(near, s1_a, s1_b), np.where(near, end_a, end_b)
-    # the bracket: xa keeps the sign of the a end's area miss fa, xb of fb
-    xa, fa, xb, fb = s1_a.copy(), end_a[0], s1_b.copy(), end_b[0]
 
     def within(x, lane):
         return (np.fmin(xa[lane], xb[lane]) < x) & (x < np.fmax(xa[lane], xb[lane]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = best_s1 - best[0] / best[4]
+        x = best_s1 - best[7] / best[4]
         secant = s1_a - fa * width / (fb - fa)
     x = np.where(within(x, lanes), x, secant)
-    seed = seed_at(x, lanes)
-    prev_step = np.full(n, np.inf)
+    y = seed_at(x, lanes)
     # lanes with a sign change between their ends iterate
-    idx = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0)
-                         & np.array([exc is None for exc in failures], dtype=bool))
+    idx = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0) & alive(lanes))
     for _ in range(MAX_ITER):
         if not idx.size:
             break
-        s2 = arcsmod._correct_s2(curve, x[idx], seed[idx], dom[idx])
-        vals = arcs_at(x[idx], s2, seed_at(x[idx], idx), idx)
-        ok = np.array([failures[i] is None for i in idx], dtype=bool)
-        idx, vals, xi = idx[ok], vals[:, ok], x[idx[ok]]
-        f, d_area, da_df = vals[0], vals[4], vals[5]
-        better = np.abs(f) < np.abs(best[0, idx])
+        vals, _ = arcs_at(x[idx], y[idx], seed_at(x[idx], idx), idx)
+        ok = alive(idx)
+        idx, vals, xi, yi = idx[ok], vals[:, ok], x[idx[ok]], y[idx[ok]]
+        miss, code, slope, d_area, back, m = vals[[0, 2, 3, 4, 6, 7]]
+        better = miss < best[0, idx]
         best_s1[idx[better]], best[:, idx[better]] = xi[better], vals[:, better]
-        side_a = np.sign(f) == np.sign(fa[idx])
-        xa[idx[side_a]], fa[idx[side_a]] = xi[side_a], f[side_a]
-        xb[idx[~side_a]], fb[idx[~side_a]] = xi[~side_a], f[~side_a]
         tol = 1e-14 + XRTOL * np.abs(xi)
+        closed = np.abs(xb[idx] - xa[idx]) < tol
+        moves = (code != 1) & ~closed
+        side_a = moves & (np.sign(m) == np.sign(fa[idx]))
+        side_b = moves & ~side_a
+        xa[idx[side_a]], fa[idx[side_a]] = xi[side_a], m[side_a]
+        xb[idx[side_b]], fb[idx[side_b]] = xi[side_b], m[side_b]
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / d_area
-        # within the area that the corrector's |f| tolerance is worth, a
-        # Newton step that stops shrinking only follows rounding
-        noise = np.abs(f) <= np.abs(da_df) * arcsmod.NEWTON_F_TOL
-        done = ((np.isfinite(d_area) & (np.abs(step) < tol))
-                | (np.abs(xb[idx] - xa[idx]) < tol)
-                | noise & (np.abs(step) >= prev_step[idx]))
+            step = m / d_area
+        done = np.isfinite(miss) & ((np.abs(step) < tol) | closed)
         newton = xi - step
         newton_ok = within(newton, idx)
-        nxt = np.where(newton_ok, newton, 0.5 * (xa[idx] + xb[idx]))
-        prev_step[idx] = np.abs(step)
-        # the next corrector seed: the tangent predictor from this iterate
-        # after a Newton step, the segment's own seed after a bisection
-        tangent = vals[2] + vals[3] * (nxt - xi)
-        seed[idx] = np.where(newton_ok & np.isfinite(tangent), tangent,
-                             seed_at(nxt, idx))
-        x[idx] = nxt
+        nx = np.where(moves, np.where(newton_ok, newton, 0.5 * (xa[idx] + xb[idx])), xi)
+        ny = yi + np.where(moves, slope * (nx - xi), 0.0) + back
+        ny = np.where(moves & ~newton_ok | ~np.isfinite(ny), seed_at(nx, idx), ny)
+        x[idx], y[idx] = nx, ny
         idx = idx[~done]
-    for i in idx:
+    # lanes still iterating or without a certified point did not converge; a
+    # certified miss beyond what the stop rule leaves is a jump
+    for i in np.union1d(idx, np.flatnonzero(np.isinf(best[0]))):
         failures[i] = failures[i] or NoConvergence("area refinement did not converge")
-    # A lane stops with s1 within xatol + xrtol·|s1| of the root, worth
-    # |dA/ds1| times that in area, or at the area the corrector's |f|
-    # tolerance NEWTON_F_TOL is worth, |∂A/∂f| at fixed s1 times it. A larger
-    # miss is a jump in area across the target.
-    miss, d_area, da_df = np.abs(best[0]), best[4], best[5]
-    jump = ~(miss <= np.abs(d_area) * (1e-14 + XRTOL * np.abs(best_s1))
-             + np.abs(da_df) * arcsmod.NEWTON_F_TOL)
-    out = np.full(n, np.nan)
-    for i in range(n):
-        if failures[i] is None and jump[i]:
-            failures[i] = NoArcAtArea(f"area misses the target by {miss[i]:.3e} "
-                                      "where the solve stopped: a jump, not a root")
-        if failures[i] is None:
-            out[i] = best[1, i]
-    return out, failures
+    for i in np.flatnonzero(~(best[0] <= np.abs(best[4]) * (
+            1e-14 + XRTOL * np.abs(best_s1)) + np.abs(best[5]) * arcsmod.NEWTON_F_TOL)):
+        failures[i] = failures[i] or NoArcAtArea(
+            f"area misses the target by {best[0, i]:.3e} where the solve "
+            "stopped: a jump, not a root")
+    return np.where(alive(lanes), best[1], np.nan), failures
 
 
 def oracle_pairs(curves, areas, n_s1: int) -> tuple:
@@ -556,9 +544,9 @@ def _branch_pass(domains, asked, n_s1) -> list:
     own `arc_batch` sample (`_branch_slope`).
     An arc's complement has the same length and area |Ω| − A, so each
     branch segment whose end areas straddle a pair's area or its complement
-    is refined in s1, all of them in one `_refine_on_branch` call: a
-    safeguarded Newton iteration on the area along the branch, with the
-    exact dA/ds1 of the arc kernel. A pair's value is the shortest of its
+    is refined, all of them in one `_refine_on_branch` call: a safeguarded
+    Newton iteration on (f, A − target) in (s1, s2), with the exact partials
+    of the arc kernel. A pair's value is the shortest of its
     refined arcs. Several domains share one stacked curve, one root scan,
     one table and one refinement; where the scan or the table fails, each
     domain takes a pass of its own, so a failure is its own domain's.

@@ -310,6 +310,35 @@ def test_stacked_curve_needs_its_domain_index(ellipse_main, fourier_domain):
                                for c in (ellipse_main, fourier_domain)], abs=1e-14)
 
 
+def test_stacked_curve_refuses_what_needs_one_domain(ellipse_main, fourier_domain):
+    # a stack samples many domains; the area, the length scale, the circle
+    # probe and the containment test each need one, and refuse a stack
+    stack = SupportCurve.stack([ellipse_main, fourier_domain])
+    for probe in (stack.area, stack.length_scale):
+        with pytest.raises(ValueError, match="a stack of 2 domains has no one area"):
+            probe()
+    with pytest.raises(ValueError, match="domain indices"):
+        arcs.is_circle(stack)
+    with pytest.raises(ValueError, match="domain indices"):
+        stack.contains_many(np.zeros((3, 2)))
+    # a stack of one is the curve itself
+    assert SupportCurve.stack([ellipse_main]).area() == ellipse_main.area()
+
+
+def test_scan_of_a_scalar_slice_takes_one_domain(ellipse_main):
+    # a scalar s1 returns one root list, so it cannot hold several domains'
+    # roots; an array of one slice keeps a list per domain, each root within
+    # the scan's 1e-13 of the domain's own scan (the stack rounds differently)
+    two_mode = SupportCurve((1, 0, 0.1, 0, 0.003))
+    stack = SupportCurve.stack([ellipse_main, two_mode])
+    with pytest.raises(ValueError, match="scan one domain"):
+        arcs.scan_arc_roots(stack, 0.3, domain=[0, 1])
+    lists = arcs.scan_arc_roots(stack, [0.3], domain=[0, 1])
+    assert len(lists) == 2
+    for got, curve in zip(lists, (ellipse_main, two_mode)):
+        assert got == pytest.approx(arcs.scan_arc_roots(curve, 0.3), abs=1e-13)
+
+
 def test_arc_kernel_matches_scalar_math(monkeypatch, ellipse_main, fourier_domain):
     # one float64 evaluation differs from another only in the summation order
     # of the closed-form boundary moment and of 2-vector dot products: allow

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from isoperim import _roots, arcs, disk
 from isoperim import perturbation as pert
 from isoperim import profile as prof
-from isoperim.errors import (IsDisk, NoArcAtArea, NoConvergence, NotClassA,
-                             NotNormalized, NotPerfect)
+from isoperim.errors import (IsDisk, IsoperimError, NoArcAtArea, NoConvergence,
+                             NotClassA, NotNormalized, NotPerfect)
 from isoperim.geometry import RadialCurve, SupportCurve, classify
 
 SQRT2 = np.sqrt(2.0)
@@ -348,12 +348,24 @@ def refine_one(curve, s1_a, s2_a, s1_b, s2_b, target):
     ("ellipse", (0.4, 1.0, np.pi - 0.4)),
     ("two-mode", (0.05, 0.8, 1.5)),
     ("perturbed", (0.3, 1.0, 1.5)),
+    ("critical cos 4u, s = 5e-3", (None,)),
+    ("critical cos 4u, s = 1e-3", (None,)),
 ])
 def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
                                                       ellipse_main, fourier_domain):
+    """On the near-disk domains of the critical cos 4u experiment ∂f/∂s2 is
+    small, so the Newton system and the corrected reference differ most
+    there. Measured: within 2.4e-14 at s = 5e-3 (30 lanes), and 5.9e-13 at
+    s = 1e-3, where the reference refuses the 2 lanes that the oracle
+    drops."""
+    def perturbed(n, s):
+        return pert.build_perturbed_domain(pert.PerturbationField.mode(n), s)
+
     curve = {"ellipse": ellipse_main, "two-mode": fourier_domain,
-             "perturbed": pert.build_perturbed_domain(
-                 pert.PerturbationField.mode(3), 5e-3)}[name]
+             "perturbed": perturbed(3, 5e-3),
+             "critical cos 4u, s = 5e-3": perturbed(4, 5e-3),
+             "critical cos 4u, s = 1e-3": perturbed(4, 1e-3)}[name]
+    areas = [pert.find_mode_roots(4)[0].area if a is None else a for a in areas]
     batches = []
 
     def spy(*args):
@@ -370,10 +382,16 @@ def test_batched_refinement_matches_per_segment_brent(monkeypatch, name, areas,
         assert not np.any(domain)
         assert len(length) == len(failures) == len(segments[0]) > 1
         for i, seg in enumerate(zip(*segments)):
-            # the oracle value bound: both solvers stop at 1e-14 in s1, and
-            # the corrector leaves s2 ill-conditioned near vertices
+            # a lane that the reference refuses fails; every other lane is
+            # within the oracle value bound: both solvers stop at 1e-14 in
+            # s1, and f's tolerance leaves s2 ill-conditioned near vertices
+            try:
+                want = refine_one(curve, *seg)
+            except IsoperimError:
+                assert failures[i] is not None
+                continue
             assert failures[i] is None
-            assert length[i] == pytest.approx(refine_one(curve, *seg), abs=1e-11)
+            assert length[i] == pytest.approx(want, abs=1e-11)
 
 
 def test_branch_slope_reads_the_kernel_sample(ellipse_main):
@@ -417,7 +435,7 @@ def test_branch_area_derivative_matches_differences(name, ellipse_main,
     s1 = np.repeat(s1_grid, [len(r) for r in roots])
     s2 = np.concatenate(roots)
     arc = arcs.arc_batch(curve, s1, s2)
-    slope, d_area, da_df = prof._branch_slope(arc)
+    slope, d_area, da_df, _ = prof._branch_slope(arc)
     # points where the branch is a graph over s1 with a moderate slope and
     # the corrector pins s2 (not the near-degenerate pairs of a near-disk)
     keep = (np.abs(slope) < 4.0) & (np.abs(da_df) < 1e4)
@@ -469,19 +487,6 @@ def _forced_lane_failure(monkeypatch, ellipse_main, patch):
     assert np.max(np.abs(np.delete(length, 2) - np.delete(clean, 2))) < 1e-12
     assert [exc is None for exc in failures] == [i != 2 for i in range(len(s1_a))]
     return failures[2]
-
-
-def test_refinement_records_corrector_failure_lane(monkeypatch, ellipse_main):
-    def patch(monkeypatch, lo, hi):
-        correct = arcs._correct_s2
-
-        def failing(curve, s1, seed, domain=0):
-            s2 = correct(curve, s1, seed, domain)
-            return np.where((s1 >= lo) & (s1 <= hi), np.nan, s2)
-        monkeypatch.setattr(arcs, "_correct_s2", failing)
-
-    exc = _forced_lane_failure(monkeypatch, ellipse_main, patch)
-    assert type(exc) is NoConvergence and "corrector failed" in str(exc)
 
 
 def test_refinement_records_arc_kernel_failure_lane(monkeypatch, ellipse_main):
@@ -589,7 +594,8 @@ def test_refinement_records_area_jump_lane(monkeypatch, ellipse_main):
 def test_oracle_half_area_segments_all_converge(monkeypatch, ellipse_main):
     # at half area four segments cross the straight chord along the major
     # axis; the area is continuous there, so every segment converges in a
-    # few solver steps (where it jumped, the solve bisected 42 times)
+    # few solver steps (where it jumped, the solve bisected 42 times), and
+    # the refinement calls no corrector
     results, corrections = [], []
     refine, correct = prof._refine_on_branch, arcs._correct_s2
     monkeypatch.setattr(prof, "_refine_on_branch",
@@ -601,7 +607,7 @@ def test_oracle_half_area_segments_all_converge(monkeypatch, ellipse_main):
     assert len(failures) == 16 and all(exc is None for exc in failures)
     assert np.sum(np.abs(length - 2.0 * SQRT2) < 1e-12) == 4
     assert value == pytest.approx(SQRT2, abs=1e-14)
-    assert len(corrections) <= 10
+    assert not corrections
 
 
 def test_oracle_logs_dropped_refinements(caplog):
@@ -669,11 +675,11 @@ def test_oracle_pairs_keep_a_refusal_to_its_pair(ellipse_main):
 
 def test_experiment_work_is_one_pass(monkeypatch):
     """Boundary work of one critical cos 4u experiment: its five perturbed
-    domains share one root scan. Measured: 178 `RadialCurve.sample` calls
-    (the five single-domain oracle calls made 354); the bound allows 10%
-    over the measurement, rounded up."""
-    counts = {"sample": 0, "scan": 0}
-    sample, scan = RadialCurve.sample, arcs.scan_arc_roots
+    domains share one root scan, and the refinement calls no corrector.
+    Measured: 60 `RadialCurve.sample` calls; the bound allows 10% over the
+    measurement, rounded up."""
+    counts = {"sample": 0, "scan": 0, "correct": 0}
+    sample, scan, correct = RadialCurve.sample, arcs.scan_arc_roots, arcs._correct_s2
 
     def counted_sample(self, *args):
         counts["sample"] += 1
@@ -683,11 +689,17 @@ def test_experiment_work_is_one_pass(monkeypatch):
         counts["scan"] += 1
         return scan(*args, **kwargs)
 
+    def counted_correct(*args):
+        counts["correct"] += 1
+        return correct(*args)
+
     monkeypatch.setattr(RadialCurve, "sample", counted_sample)
     monkeypatch.setattr(arcs, "scan_arc_roots", counted_scan)
+    monkeypatch.setattr(arcs, "_correct_s2", counted_correct)
     pert.profile_decrease_experiment(pert.PerturbationField.mode(4),
                                      pert.find_mode_roots(4)[0].area)
-    assert counts["scan"] == 1 and counts["sample"] <= 196
+    assert counts["scan"] == 1 and counts["sample"] <= 66
+    assert counts["correct"] == 0
 
 
 def match_segments_one_root_at_a_time(curve, target_area, n_s1=prof.N_S1):
@@ -757,30 +769,33 @@ def test_array_matching_equals_the_root_loop(monkeypatch, name, areas,
 def test_oracle_work_at_the_critical_cos4u_area(monkeypatch):
     """Boundary evaluations of one oracle call on the critical cos 4u domain.
 
-    Measured: 43 `two_point_eval` calls at s = 1e-3 and 17 at s = 5e-3.
-    The bounds allow 10% over the measurement (rounded up), for solver
-    steps that rounding moves.
+    Measured: 23 `arc_batch` calls at s = 1e-3 and 8 at s = 5e-3, one
+    `two_point_eval` call at each (the circle probe), and no corrector call.
+    The bounds allow 10% over the measurement (rounded up), for solver steps
+    that rounding moves.
     """
     area = pert.find_mode_roots(4)[0].area
-    calls = []
-    evaluate = arcs.two_point_eval
-    monkeypatch.setattr(arcs, "two_point_eval",
-                        lambda *args: calls.append(1) or evaluate(*args))
-    for s, bound in ((1e-3, 48), (5e-3, 19)):
+    counts = {"arc_batch": 0, "two_point_eval": 0, "_correct_s2": 0}
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(arcs, name), **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(arcs, name, counted)
+    for s, bound in ((1e-3, 26), (5e-3, 9)):
         curve = pert.build_perturbed_domain(pert.PerturbationField.mode(4), s)
-        calls.clear()
+        counts.update(dict.fromkeys(counts, 0))
         prof.general_profile_oracle(curve, area)
-        assert len(calls) <= bound
+        assert counts["arc_batch"] <= bound and counts["two_point_eval"] <= 2
+        assert counts["_correct_s2"] == 0
 
 
 @pytest.mark.parametrize("area", [1.0, HALF_PI])
 def test_refinement_work_on_the_ellipse(monkeypatch, ellipse_main, area):
-    """Kernel and corrector calls of one `_refine_on_branch` on the √2
-    ellipse: one `arc_batch` of the segment ends, then one corrector call and
-    one `arc_batch` per Newton iterate. Measured: 5 `arc_batch`, 4
-    `_correct_s2` and 4 `two_point_eval` calls at A = 1 (8 segments) and at
-    π/2 (16): each corrector call stops at its first evaluation. The bounds
-    allow 10% over the measurement, rounded up."""
+    """Kernel calls of one `_refine_on_branch` on the √2 ellipse: one
+    `arc_batch` of the segment ends, then one `arc_batch` per Newton iterate
+    and no corrector or `two_point_eval` call. Measured: 5 `arc_batch` calls
+    at A = 1 (8 segments) and at π/2 (16). The bound allows 10% over the
+    measurement, rounded up."""
     counts = {"arc_batch": 0, "_correct_s2": 0, "two_point_eval": 0}
     for name in counts:
         def counted(*args, name=name, fn=getattr(arcs, name)):
@@ -798,8 +813,8 @@ def test_refinement_work_on_the_ellipse(monkeypatch, ellipse_main, area):
     monkeypatch.setattr(prof, "_refine_on_branch", spy)
     prof.general_profile_oracle(ellipse_main, area)
     [work] = seen
-    assert work["arc_batch"] <= 6 and work["_correct_s2"] <= 5
-    assert work["two_point_eval"] <= 5
+    assert work["arc_batch"] <= 6
+    assert work["_correct_s2"] == work["two_point_eval"] == 0
 
 
 def test_oracle_refusal_counts_failed_refinements(monkeypatch, ellipse_main):

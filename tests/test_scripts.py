@@ -48,6 +48,11 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     assert [(r["case"], r["refusal"]) for r in rows if r["refusal"]] == [
         ("asymmetric A=0.005", "NoArcAtArea")]
     assert sum(r["dropped"] for r in rows) == 4
+    # each single call records its boundary samples, a batched row none;
+    # measured: 1,239 over the 55 calls, bounded at 10% over it, rounded up
+    assert all(r["samples"] > 0 for r in rows)
+    assert all(r["samples"] is None for r in batched)
+    assert sum(r["samples"] for r in rows) <= 1363
     # the 11 batched calls: the same refusal and drops, and every value
     # within the bound of test_oracle_pairs_equal_their_single_calls
     lines = capsys.readouterr().out.splitlines()
@@ -60,6 +65,18 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "asymmetric A=0.005: dropped 0 -> 1",
         "largest value change: 0.000e+00 (cos 2u b=0.85 s=0.001)"]
+    # the work comparison prints the totals and each call whose count rose
+    rose = [dict(r, samples=r["samples"] + 5) if r["refusal"] else r for r in rows]
+    total = sum(r["samples"] for r in rows)
+    script["compare_work"](rose, rows, label="single against x: ")
+    refused = next(r for r in rows if r["refusal"])
+    assert capsys.readouterr().out.splitlines() == [
+        f"single against x: boundary samples: {total} -> {total + 5}",
+        f"single against x: asymmetric A=0.005: samples {refused['samples']} "
+        f"-> {refused['samples'] + 5}"]
+    script["compare_work"](rows, rose)
+    assert capsys.readouterr().out.splitlines() == [
+        f"boundary samples: {total + 5} -> {total}"]
     # --against labels each kind of row it compares
     script["compare"](batched, batched, keys=("refusal",), label="batched against x: ")
     assert capsys.readouterr().out.splitlines() == [
