@@ -66,10 +66,20 @@ def theta_to_curvature(theta):
 
 
 def area_to_theta(a):
-    """Invert the monotone area map on (0, π/2], all areas in one bracket solve."""
+    """Invert the monotone area map on (0, π/2], all areas in one bracket solve.
+
+    Each root lies in [√(2A/π), √(πA/2)], as A(θ)/θ² falls from π/2 (θ → 0)
+    to 2/π (θ = π/2). Proof: A′(θ) = tanθ·L′(θ) = 2 sinθ·P(π/2 − θ) with
+    P(v) = (v − sin v cos v)/sin³v. P rises: sin⁴v·P′(v) = sin v (2 + cos²v)
+    − 3v cos v is 0 at v = 0 and has derivative 3 sin v (v − sin v cos v) ≥ 0.
+    So A′(θ)/θ = 2 (sinθ/θ)·P(π/2 − θ) falls, and with it A(θ)/θ² =
+    ∫_0^1 s·A′(sθ)/(sθ) ds.
+    """
     a = _inside(a, lambda x: (0.0 < x) & (x <= HALF_PI), "area must lie in (0, pi/2]")
     theta, _ = invert_monotone_many(lambda t, target: theta_to_area(t) - target,
-                                    1e-12, HALF_PI - 1e-15, 1e-14, args=(a,))
+                                    np.sqrt(a / (PI / 2.0)),
+                                    np.minimum(np.sqrt(a * (PI / 2.0)), HALF_PI - 1e-15),
+                                    1e-14, args=(a,))
     return _float_or_array(theta)
 
 

@@ -330,8 +330,9 @@ def is_symmetric(curve: SupportCurve) -> bool:
     return _negligible(curve, curve.cos_coeffs[1::2] + curve.sin_coeffs)
 
 
-def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
-    """(dκ/ds, d²κ/ds², d³κ/ds³) at a boundary angle, from the ρ series.
+def _curvature_jet(curve: SupportCurve, theta) -> tuple:
+    """(κ, dκ/ds, d²κ/ds², d³κ/ds³) at boundary angles, elementwise, from one
+    evaluation of ρ and its derivatives.
 
     With κ = 1/ρ, dθ/ds = κ and q_i = ρ⁽ⁱ⁾/ρ (scale-free), the chain rule
     gives κ_s = −q1/ρ², κ_ss = (3q1² − q2)/ρ³ and
@@ -341,13 +342,18 @@ def curvature_arclength_derivatives(curve: SupportCurve, theta: float):
     series = [curve.rho_series]
     for _ in range(3):
         series.append(series[-1].derivative())
-    rho, *r = (s(theta) for s in series)
+    rho, *r = TrigSeries.evaluate(theta, *series)
     kap = 1.0 / rho
     q1, q2, q3 = (x * kap for x in r)
     k_s = -q1 * kap * kap
     k_ss = (3.0 * q1 * q1 - q2) * kap * kap * kap
     k_sss = (10.0 * q1 * q2 - 15.0 * q1 ** 3 - q3) * kap * kap * kap * kap
-    return k_s, k_ss, k_sss
+    return kap, k_s, k_ss, k_sss
+
+
+def curvature_arclength_derivatives(curve: SupportCurve, theta):
+    """(dκ/ds, d²κ/ds², d³κ/ds³) at boundary angles (`_curvature_jet`)."""
+    return _curvature_jet(curve, theta)[1:]
 
 
 def find_vertices(curve: SupportCurve):
@@ -384,14 +390,13 @@ def classify(curve: SupportCurve) -> DomainClassReport:
                                  is_disk=True, degenerate=True)
 
     vertices = find_vertices(curve)
-    kap_v = [float(1.0 / curve.rho(v)) for v in vertices]
-    kappa_max = max([float(np.max(kap))] + kap_v)
-    kappa_min = min([float(np.min(kap))] + kap_v)
+    kap_v, _, k_ss, _ = _curvature_jet(curve, np.array(vertices))
+    kap = np.append(kap, kap_v)
+    kappa_max, kappa_min = float(np.max(kap)), float(np.min(kap))
 
     # κ_ss·a0³ is scale-free (a0 the mean radius)
-    degenerate = any(abs(curvature_arclength_derivatives(curve, v)[1])
-                     * curve.cos_coeffs[0] ** 3 < DEGENERATE_KPP_TOL
-                     for v in vertices)
+    degenerate = bool(np.any(np.abs(k_ss) * curve.cos_coeffs[0] ** 3
+                             < DEGENERATE_KPP_TOL))
 
     expected = {0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0}
     at_axes = len(vertices) == 4 and all(

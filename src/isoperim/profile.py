@@ -79,24 +79,26 @@ def profile_grid(n_samples: int) -> np.ndarray:
 
 def _upper_endpoint_height(curve: SupportCurve, theta):
     """y(θ) = ∫_0^θ cos ω/κ dω = C_y(θ) for an x-axis-symmetric domain."""
-    h = curve.h_series(theta)
-    hp = curve._h_prime(theta)
+    h, hp = TrigSeries.evaluate(theta, curve.h_series, curve._h_prime)
     return h * np.sin(theta) + hp * np.cos(theta)
 
 
-def _family_length(curve: SupportCurve, theta):
-    """L(θ) = (π − 2θ)·y(θ)/cos θ, evaluated as (2t/sin t)·y with t = π/2 − θ."""
+def _family_arcs(curve: SupportCurve, theta) -> tuple:
+    """(L(θ), k(θ)) from one y(θ): L = (π − 2θ)·y/cos θ, evaluated as
+    (2t/sin t)·y with t = π/2 − θ, and k = cos θ / y."""
     theta = np.asarray(theta, dtype=float)
     y = _upper_endpoint_height(curve, theta)
     t = HALF_PI - theta
     fac = np.where(np.abs(t) < 1e-9, 2.0, 2.0 * t / np.where(t == 0, 1.0, np.sin(t)))
-    return fac * y
+    return fac * y, np.cos(theta) / y
+
+
+def _family_length(curve: SupportCurve, theta):
+    return _family_arcs(curve, theta)[0]
 
 
 def _family_curvature(curve: SupportCurve, theta):
-    """k(θ) = cos θ / y(θ)."""
-    theta = np.asarray(theta, dtype=float)
-    return np.cos(theta) / _upper_endpoint_height(curve, theta)
+    return _family_arcs(curve, theta)[1]
 
 
 def require_class_a(curve: SupportCurve, allow_disk: bool):
@@ -178,8 +180,7 @@ def symmetric_profile(curve: SupportCurve, n_samples: int = 256) -> ProfileTable
 def _symmetric_table(curve: SupportCurve, n_samples: int) -> ProfileTable:
     """`symmetric_profile` of a domain that `require_class_a` admitted."""
     theta = profile_grid(n_samples)
-    length = _family_length(curve, theta)
-    curvature = _family_curvature(curve, theta)
+    length, curvature = _family_arcs(curve, theta)
 
     arcs = arcsmod.arc_batch(curve, -theta, theta)
     arcs.raise_first()

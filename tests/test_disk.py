@@ -76,6 +76,23 @@ def test_inversion_roundtrip():
     assert disk.area_to_theta(HALF_PI) == pytest.approx(HALF_PI, abs=1e-12)
 
 
+def test_area_to_theta_bracket_holds():
+    # area_to_theta solves in [√(2A/π), √(πA/2)]: A(θ)/θ² falls from π/2 as
+    # θ → 0 (A ≈ (π/2)θ² − (4/3)θ³) to 2/π at θ = π/2. Below θ = 1e-3 the
+    # area map's rounding (about 1e-16 absolute) hides the fall.
+    theta = np.geomspace(1e-3, HALF_PI - 1e-12, 2001)
+    ratio = disk.theta_to_area(theta) / theta ** 2
+    assert np.all(np.diff(ratio) < 0.0)
+    assert np.pi / 2.0 - 2e-3 < ratio[0] < np.pi / 2.0
+    assert 2.0 / np.pi < ratio[-1] < 2.0 / np.pi + 1e-11
+    area = np.append(np.geomspace(1e-6, 1.5, 200), HALF_PI)
+    theta = disk.area_to_theta(area)
+    assert np.all((np.sqrt(2.0 * area / np.pi) <= theta)
+                  & (theta <= np.sqrt(np.pi * area / 2.0)))
+    # each solve meets its root: xtol·max A′ (A′ ≤ π) plus the map's rounding
+    assert np.all(np.abs(disk.theta_to_area(theta) - area) <= np.pi * 1e-14 + 1e-15)
+
+
 def test_profile_values():
     assert disk.profile(HALF_PI) == 2.0
     assert disk.profile(HALF_PI - 1.0) == pytest.approx(HALF_PI, abs=1e-12)

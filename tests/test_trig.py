@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from isoperim.geometry import SupportCurve
-from isoperim.trig import (BLOCK_ENTRIES, TrigSeries, _from_complex, _to_complex,
-                           fit_periodic)
+from isoperim.trig import (BLOCK_ENTRIES, SPLIT, TrigSeries, _from_complex,
+                           _to_complex, fit_periodic)
 
 coeff_lists = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)
 
@@ -78,6 +78,78 @@ def test_evaluate_across_blocks_matches_mode_sum():
     (got,) = TrigSeries.evaluate(t, h)
     scale = np.sum(np.abs(h.cos_c)) + np.sum(np.abs(h.sin_c))
     assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def _mode_sum(cos_c, sin_c, t):
+    """Σ_k c_k cos(kt) + s_k sin(kt), one mode at a time and Neumaier-
+    compensated; coefficient rows (…, M + 1) broadcast against t."""
+    want, comp = np.zeros(np.shape(t)), np.zeros(np.shape(t))
+    for k in range(cos_c.shape[-1]):
+        for term in (cos_c[..., k] * np.cos(k * t), sin_c[..., k] * np.sin(k * t)):
+            total = want + term
+            comp += np.where(np.abs(want) >= np.abs(term),
+                             (want - total) + term, (term - total) + want)
+            want = total
+    return want + comp
+
+
+def _mixed_stack():
+    """Rows of orders 0, 1, 5 and 158 (the aspect-6 ellipse), and a row index
+    per point that visits them in no order."""
+    rng = np.random.default_rng(11)
+    rows = [TrigSeries(np.array([1.3]), np.zeros(1)),
+            TrigSeries(np.array([0.5, 0.2]), np.array([0.0, -0.7])),
+            TrigSeries(rng.standard_normal(6), np.append(0.0, rng.standard_normal(5))),
+            SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0)).h_series]
+    assert [r.order for r in rows] == [0, 1, 5, 158]
+    return TrigSeries.stack(rows), rng
+
+
+# The bounds are fixed from the kernel's rounding before running: the sums
+# within 1e-15·Σ|c| as in test_evaluate_across_blocks_matches_mode_sum, plus,
+# for modes k ≥ SPLIT, the phases: the kernel forms fl(r·t) and fl(j·SPLIT·t)
+# where the reference forms fl(k·t), each within u·k·|t| (u = 2⁻⁵³).
+def _bound(cos_c, sin_c, t):
+    mag = np.abs(cos_c) + np.abs(sin_c)
+    k = np.arange(mag.shape[-1])
+    phase = 2.0 * (np.finfo(float).eps / 2.0) * np.abs(t) * np.sum(
+        np.where(k >= SPLIT, k * mag, 0.0), axis=-1)
+    return 1e-15 * np.sum(mag, axis=-1) + phase
+
+
+@pytest.mark.parametrize("centre", [3.25, 1e3, -1e3])
+def test_stacked_kernel_matches_mode_sum(centre):
+    stack, rng = _mixed_stack()
+    t = centre + np.linspace(-3.75, 3.75, 6001)
+    domain = rng.integers(0, 4, t.size)
+    c, s = stack.cos_c[domain], stack.sin_c[domain]
+    (got,) = TrigSeries.evaluate(t, stack, domain=domain)
+    assert np.all(np.abs(got - _mode_sum(c, s, t)) <= _bound(c, s, t))
+    # the antiderivative's periodic part has modes (−s_k/k, c_k/k), k ≥ 1
+    t0, t1 = t, t[::-1]
+    k = np.maximum(np.arange(stack.order + 1), 1)
+    a, b = -s / k, c / k
+    a[:, 0] = b[:, 0] = 0.0
+    want = c[:, 0] * (t1 - t0) + _mode_sum(a, b, t1) - _mode_sum(a, b, t0)
+    got = stack.integral_between(t0, t1, domain)
+    bound = (_bound(a, b, t0) + _bound(a, b, t1)
+             + 1e-15 * np.abs(c[:, 0] * (t1 - t0)))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_kernel_on_scalar_and_empty_points():
+    stack, _ = _mixed_stack()
+    h = SupportCurve.ellipse(np.sqrt(6.0), 1.0 / np.sqrt(6.0)).h_series
+    for t in (0.3, -1e3 + 0.3):
+        value = h(t)
+        assert isinstance(value, float)
+        assert abs(value - _mode_sum(h.cos_c, h.sin_c, t)) <= _bound(h.cos_c, h.sin_c, t)
+        assert isinstance(h.integral_between(t, t + 1.0), float)
+    empty = np.array([])
+    assert TrigSeries.evaluate(empty, h)[0].shape == (0,)
+    assert TrigSeries.evaluate(empty, stack, domain=np.array([], int))[0].shape == (0,)
+    assert h.integral_between(empty, empty).shape == (0,)
+    assert stack.integral_between(empty, empty, np.array([], int)).shape == (0,)
 
 
 def _to_complex_by_mode(f):
