@@ -122,6 +122,14 @@ class SupportCurve(PlaneBoundary):
         return self.h_series.derivative()
 
     @cached_property
+    def _rho_jet(self) -> tuple:
+        """(ρ, ρ′, ρ″, ρ‴), for the vertex scan and the curvature jet."""
+        jet = [self.rho_series]
+        for _ in range(3):
+            jet.append(jet[-1].derivative())
+        return tuple(jet)
+
+    @cached_property
     def _moment_series(self) -> TrigSeries:
         # x y' − y x' = (C·N)(h + h'') = h·ρ for the normal-angle parametrization
         return self.h_series.product(self.rho_series)
@@ -339,10 +347,7 @@ def _curvature_jet(curve: SupportCurve, theta) -> tuple:
     κ_sss = (10q1q2 − 15q1³ − q3)/ρ⁴; only powers of κ carry the scale, so
     no power of ρ overflows.
     """
-    series = [curve.rho_series]
-    for _ in range(3):
-        series.append(series[-1].derivative())
-    rho, *r = TrigSeries.evaluate(theta, *series)
+    rho, *r = TrigSeries.evaluate(theta, *curve._rho_jet)
     kap = 1.0 / rho
     q1, q2, q3 = (x * kap for x in r)
     k_s = -q1 * kap * kap
@@ -359,7 +364,7 @@ def curvature_arclength_derivatives(curve: SupportCurve, theta):
 def find_vertices(curve: SupportCurve):
     """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan, refined by
     `sign_change_roots`; sorted, in (−1e-6, 2π − 1e-6]."""
-    rho1 = curve.rho_series.derivative()
+    rho1 = curve._rho_jet[1]
     vals = TrigSeries.on_grid(SCAN_NODES, rho1)[0]
     # close the periodic scan so the cell that wraps past 2π is searched too
     _, x = sign_change_roots(lambda x, _: rho1(x),

@@ -97,10 +97,6 @@ def _family_length(curve: SupportCurve, theta):
     return _family_arcs(curve, theta)[0]
 
 
-def _family_curvature(curve: SupportCurve, theta):
-    return _family_arcs(curve, theta)[1]
-
-
 def require_class_a(curve: SupportCurve, allow_disk: bool):
     """Classify the domain and refuse what the symmetric family cannot
     handle: a disk (unless allowed) or one off the origin, a domain outside

@@ -5,7 +5,8 @@ this module gives them exact derivatives, antiderivatives and products so
 the rest of the code never needs quadrature for closed-form quantities.
 
 `evaluate` splits mode k = j·b + r, b = min(SPLIT, M + 1), as e^{ij·b·t}·e^{irt}:
-a point costs b + J sines and cosines, J = ⌈(M + 1)/b⌉, not M + 1, and a value is
+a point costs b + J sines and cosines, J = ⌈(M + 1)/b⌉, not M + 1. fl(r·t) and
+fl(j·b·t) put the phase off by at most u·k·|t|, as fl(k·t) would, and a value is
 off by at most Σ_k (|c_k| + |s_k|)·(u·k·|t| + (b + J + 4)·u), u = 2⁻⁵³, to first order.
 """
 
@@ -38,11 +39,7 @@ class TrigSeries:
         s = np.atleast_1d(np.asarray(self.sin_c, dtype=float))
         if c.ndim == 1 and (len(c) != len(s) or (len(s) and s[0] != 0.0)):
             m = max(len(c), len(s), 1)
-            if len(c) < m:
-                c = np.concatenate([c, np.zeros(m - len(c))])
-            if len(s) < m:
-                s = np.concatenate([s, np.zeros(m - len(s))])
-            s = s.copy()
+            c, s = np.pad(c, (0, m - len(c))), np.pad(s, (0, m - len(s)))  # copies
             s[0] = 0.0
         object.__setattr__(self, "cos_c", c)
         object.__setattr__(self, "sin_c", s)
@@ -66,11 +63,10 @@ class TrigSeries:
 
     @staticmethod
     def evaluate(t, *series, domain=0) -> tuple:
-        """Each series at t, shaped like t, on one basis per block of points;
-        a stacked series at the rows `domain`, broadcast against t. Mode
-        k = j·b + r is e^{ij·b·t}·e^{irt}: fl(r·t) and fl(j·b·t) put its phase off
-        by at most u·k·|t|, as fl(k·t) would (bound: module docstring). A series
-        reads prefixes of the basis, so the others in its call do not change it."""
+        """Each series at t, shaped like t; a stacked series at the rows `domain`,
+        broadcast against t. One basis of angles per block of points (the split:
+        module docstring) serves all; a series reads prefixes of it, so the others
+        in its call do not change it."""
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.ravel()
         if series[0].cos_c.ndim > 1 and np.ndim(domain) == 0:
@@ -80,10 +76,9 @@ class TrigSeries:
                    if series[0].cos_c.ndim > 1 else None)
         # the widest series' angles serve all: any with J > 1 has b = SPLIT
         freq = max((s._kernel[0] for s in series), key=len)
-        b = min(SPLIT, len(freq))
-        # complex entries per point: the basis, and a stack's gathered weights
-        # (2b·2J reals, 2b if J = 1); an even block keeps BLAS's row pairing
-        width = len(freq) + (0 if rows_of is None else b * max(2 * (len(freq) - b), 1))
+        b = min(SPLIT, len(freq))  # entries per point: the basis, a stack's weights
+        width = len(freq) + (0 if rows_of is None else b * max(len(freq) - b, 1))
+        # an even block keeps BLAS's row pairing of one unblocked product
         step = max(2, BLOCK_ENTRIES // width // 2 * 2)
         out = [np.empty(flat.shape) for _ in series]
         for lo in range(0, flat.size, step):
@@ -91,17 +86,14 @@ class TrigSeries:
             e = np.empty(ang.shape, dtype=complex)
             np.cos(ang, out=e.real)
             np.sin(ang, out=e.imag)
-            e = e.view(float)  # (cos, sin) of each angle side by side
-            for o, (_, w) in zip(out, (s._kernel for s in series)):
-                m, n = w.shape[-2:]
-                w = w[..., 0] if n == 2 else w  # J = 1: the real part is all
+            for o, (_, g) in zip(out, (s._kernel for s in series)):
+                b, n = g.shape[-2:]
                 if rows_of is None:
-                    uv = e[:, :m] @ w
-                elif n == 2:  # a stack: each point's own weights
-                    uv = np.einsum("pq,pq->p", e[:, :m], w[rows_of[lo:lo + step]])
-                else:
-                    uv = np.matmul(e[:, None, :m], w[rows_of[lo:lo + step]])[:, 0]
-                o[lo:lo + step] = uv if n == 2 else (e[:, 2 * b:2 * b + n] * uv).sum(1)
+                    u = e[:, :b] @ g
+                else:  # a stack: each point's own weights
+                    u = np.einsum("pr,prj->pj", e[:, :b], g[rows_of[lo:lo + step]])
+                # vecdot conjugates the tail e^{−ij·b·t} back to e^{ij·b·t}
+                o[lo:lo + step] = (u[:, 0] if n == 1 else np.vecdot(e[:, b:b + n], u)).real
         return tuple(o.reshape(t_arr.shape) if t_arr.ndim else float(o[0]) for o in out)
 
     @staticmethod
@@ -136,18 +128,15 @@ class TrigSeries:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """`evaluate`'s angles r < b, then j·b if J > 1, and weights (…, 2b, 2J):
-        rows (cos rt, sin rt) against column 2j give Re Σ_r e^{irt}·(c_k − i·s_k),
-        k = j·b + r, and against column 2j + 1 minus its imaginary part."""
+        """`evaluate`'s angles r < b, then −j·b if J > 1, and its weights
+        G[…, r, j] = c_k − i·s_k, k = j·b + r (zero past the order)."""
         m = self.order + 1
         b = min(SPLIT, m)
-        g = np.zeros(self.cos_c.shape[:-1] + (-(-m // b) * b,), dtype=complex)
-        g[..., :m] = self.cos_c + 1j * self.sin_c  # conj(g_k), read as (c_k, s_k)
-        g = g.reshape(g.shape[:-1] + (-1, b))
-        freq = np.arange(b + (g.shape[-2] if g.shape[-2] > 1 else 0), dtype=float)
-        freq[b:] = b * (freq[b:] - b)
-        w = np.stack([g, -1j * g], -2).view(float)  # (c_k, s_k) and (s_k, −c_k)
-        return freq, w.reshape(w.shape[:-3] + (-1, 2 * b)).swapaxes(-1, -2)
+        j = -(-m // b)
+        g = np.zeros(self.cos_c.shape[:-1] + (j * b,), dtype=complex)
+        g[..., :m] = self.cos_c - 1j * self.sin_c
+        freq = np.append(np.arange(b), -b * np.arange(j) if j > 1 else []).astype(float)
+        return freq, g.reshape(g.shape[:-1] + (j, b)).swapaxes(-1, -2)
 
     @cached_property
     def _antiderivative(self) -> "TrigSeries":

@@ -102,7 +102,7 @@ def test_criterion_05_dl_equals_k_da(unit_disk, class_a_suite):
         theta = np.arange(1, n + 1) * (HALF_PI / (n + 1))
         h = theta[1] - theta[0]
         length = prof._family_length(curve, theta)
-        kappa = prof._family_curvature(curve, theta)
+        kappa = prof._family_arcs(curve, theta)[1]
         batch = arcs.arc_batch(curve, -theta, theta)
         batch.raise_first()
         area = batch.area

@@ -285,7 +285,7 @@ def test_family_stationarity_identity(ellipse_main):
     """(π − 2θ) = k·L along the family (the argmax relation's ingredients)."""
     thetas = np.linspace(0.1, 1.4, 25)
     lengths = prof._family_length(ellipse_main, thetas)
-    curvatures = prof._family_curvature(ellipse_main, thetas)
+    curvatures = prof._family_arcs(ellipse_main, thetas)[1]
     assert np.allclose(np.pi - 2.0 * thetas, curvatures * lengths, atol=1e-12)
     # and for the disk family
     for t in thetas:
