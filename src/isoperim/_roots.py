@@ -78,9 +78,10 @@ def invert_monotone_many(fn, lo, hi, xtol: float, args=()) -> tuple:
 
 
 def sign_change_roots(fn, grid, vals, xtol: float) -> tuple:
-    """One root per sign-changing cell of every row of a scanned 2-D grid
-    (rows × nodes, vals = fn on grid), all refined in one
-    `invert_monotone_many` solve; fn(x, row) gets each lane's row index.
+    """One root per sign-changing cell of every row of a scanned 2-D table
+    (rows × nodes), all refined in one `invert_monotone_many` solve: row r
+    holds fn on the nodes of grid row r mod len(grid), so rows that scan the
+    same nodes share one grid; fn(x, row) gets each lane's row index.
 
     Returns (row, root) arrays, in row and then grid order. An exact zero is
     kept at its node; a cell whose own end values share a sign where the
@@ -89,7 +90,8 @@ def sign_change_roots(fn, grid, vals, xtol: float) -> tuple:
     vals = np.asarray(vals, dtype=float)
     neg = vals < 0.0
     row, col = np.nonzero((vals[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:]))
-    lo, hi = grid[row, col], grid[row, col + 1]
+    at = row % len(grid)
+    lo, hi = grid[at, col], grid[at, col + 1]
     x, status = invert_monotone_many(fn, lo, hi, xtol, args=(row,))
     if np.any(status < -1):
         raise NoConvergence("vectorized root refinement did not converge")

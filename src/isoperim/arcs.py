@@ -280,20 +280,18 @@ def arc_batch(curve: PlaneBoundary, t_lo, t_hi, domain=0) -> ArcBatch:
 
 
 def build_arc(curve: PlaneBoundary, t_lo: float, t_hi: float) -> PerfectArc:
-    """Construct the perfect arc certified by f(t_lo, t_hi) ≈ 0.
-
-    One element of `arc_batch`, plus the circle's center and a test of
-    interior arc points against the boundary. Raises the element's failure.
-    """
+    """Construct the perfect arc certified by f(t_lo, t_hi) ≈ 0: `build_arcs`
+    on the one pair."""
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not 0.0 < t_hi - t_lo < TWO_PI:
         raise ValueError("need t_lo < t_hi with t_hi - t_lo in (0, 2pi)")
-    return _perfect_arcs(curve, [t_lo], [t_hi])[0]
+    return build_arcs(curve, [t_lo], [t_hi])[0]
 
 
-def _perfect_arcs(curve: PlaneBoundary, t_lo, t_hi) -> list:
-    """`build_arc` for each endpoint pair (t_lo[i], t_hi[i]), all from one
-    `arc_batch`. Raises the first element's failure."""
+def build_arcs(curve: PlaneBoundary, t_lo, t_hi) -> list:
+    """The perfect arc of each endpoint pair (t_lo[i], t_hi[i]), all from one
+    `arc_batch`, plus each circle's center and one test of interior arc
+    points against the boundary. Raises the first element's failure."""
     arc = arc_batch(curve, t_lo, t_hi)
     arc.raise_first()
     contained = _sample_containment(curve, arc.a_pt, arc.b_pt, arc.alpha)
@@ -345,30 +343,29 @@ def _sample_containment(curve, a_pt, b_pt, alpha) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
-                   domain=0):
-    """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc.
+                   domain=0) -> tuple:
+    """All s2 ∈ (s1, s1 + 2π) with f(s1, s2) = 0 and a genuine arc, as the
+    flat table (row, s2): row j·n + k is slice k of domain[j], so a root's s1
+    is s1[row % n] and its domain domain[row // n]; rows, then s2, ascend.
 
-    s1 may be a 1-D array of n slices spaced 2π/n apart, giving one root
-    list per slice; a scalar s1 gives its list alone. The scan runs on h
-    (see the module docstring) over N uniform nodes that hold every s1,
-    s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at or above
-    n_scan (576 for 96 slices). One `curve.sample` gives h on every node
-    pair; each slice scans the other N − 1 nodes in turn, and
-    `sign_change_roots` refines every sign-changing cell, reading the s1 end
-    from that sample and sampling only s2. `domain` lists the domains to
-    scan (see `PlaneBoundary`), all in that one sample and one solve: list
-    j·n + k holds slice k of domain[j]; a scalar s1 takes one domain.
+    s1 holds n slices spaced 2π/n apart (a scalar is one slice). The scan
+    runs on h (see the module docstring) over N uniform nodes that hold
+    every s1, s1[k] + 2πj/N for j < N/n, with N the smallest multiple of n at
+    or above n_scan (576 for 96 slices). One `curve.sample` gives h on every
+    node pair; each slice scans the other N − 1 nodes in turn, and
+    `sign_change_roots` refines every sign-changing cell on that one
+    (n, N − 1) grid, reading the s1 end from the sample and sampling only
+    s2. `domain` lists the domains to scan (see `PlaneBoundary`), all in that
+    one sample and one solve.
     """
-    s1_arr = np.atleast_1d(np.asarray(s1, dtype=float))
-    n = len(s1_arr)
-    if np.any(np.abs(np.diff(s1_arr) - TWO_PI / n) > 1e-9):
+    s1 = np.atleast_1d(np.asarray(s1, dtype=float))
+    n = len(s1)
+    if np.any(np.abs(np.diff(s1) - TWO_PI / n) > 1e-9):
         raise ValueError("s1 slices must be spaced 2pi/n apart")
     per = max(1, -(-n_scan // n))  # nodes per slice
-    nodes = (s1_arr[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
+    nodes = (s1[:, None] + TWO_PI * np.arange(per) / (n * per)).ravel()
     dom = np.atleast_1d(domain)
     m, d = len(nodes), len(dom)
-    if d > 1 and not np.ndim(s1):
-        raise ValueError("a scalar s1 has one root list: scan one domain")
     s = curve.sample(np.broadcast_to(nodes, (d, m)), dom[:, None])
     # centred per domain: h is translation-invariant, and its expansion
     # rounds at |P|
@@ -393,15 +390,12 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
         i = j, at[k]
         return _dot(s.position[i] - end.position, s.tangent[i] - end.tangent)
 
-    grid = np.broadcast_to(turn(nodes[None], TWO_PI), (d, n, m - 1))
-    row, roots = sign_change_roots(h, grid.reshape(d * n, m - 1),
-                                   vals.reshape(d * n, m - 1), 1e-13)
+    row, s2 = sign_change_roots(h, turn(nodes[None], TWO_PI)[0],
+                                vals.reshape(d * n, m - 1), 1e-13)
     # an exact zero at a node also ends the cell before it
     keep = np.ones(len(row), dtype=bool)
-    keep[1:] = (row[1:] != row[:-1]) | (np.diff(roots) > 1e-9)
-    good = [r.tolist() for r in np.split(roots[keep], np.searchsorted(
-        row[keep], np.arange(1, d * n)))]
-    return good if np.ndim(s1) else good[0]
+    keep[1:] = (row[1:] != row[:-1]) | (np.diff(s2) > 1e-9)
+    return row[keep], s2[keep]
 
 
 def is_circle(curve: PlaneBoundary) -> bool:
@@ -501,7 +495,7 @@ def continue_family(curve: PlaneBoundary, s1: float, s2: float, steps: int,
         if hi - lo >= TWO_PI:
             break
         ends.append((lo, hi))
-    return _perfect_arcs(curve, *np.reshape(ends, (-1, 2)).T)
+    return build_arcs(curve, *np.reshape(ends, (-1, 2)).T)
 
 
 def _disk_route(curve: SupportCurve, s1: float, s2: float, steps: int,
@@ -566,7 +560,7 @@ def vertex_family(curve: SupportCurve, vertex_theta: float,
     curve.require_convex()
     offsets = sorted(float(x) for x in s1_grid)
     t1, t2 = _vertex_partners(curve, vertex_theta, offsets)
-    return _perfect_arcs(curve, np.fmin(t1, t2), np.fmax(t1, t2))
+    return build_arcs(curve, np.fmin(t1, t2), np.fmax(t1, t2))
 
 
 def vertex_partner_offset(curve: SupportCurve, vertex_theta: float,

@@ -138,22 +138,19 @@ def cmd_arcs_find(args) -> int:
     if arcsmod.is_circle(curve):
         raise IsDisk("every endpoint pair of a circle bounds a perfect arc; "
                      "arcs-find needs a non-circular domain")
-    roots = arcsmod.scan_arc_roots(curve, args.s1, args.grid)
-    out = []
-    for s2 in roots:
-        lo, hi = (args.s1, s2) if args.s1 < s2 else (s2, args.s1)
-        arc = arcsmod.build_arc(curve, lo, hi)
-        out.append({
-            "s1": args.s1,
-            "s2": s2,
-            "kind": arc.kind,
-            "curvature": arc.curvature,
-            "radius": arc.radius,
-            "length": arc.length,
-            "enclosed_area": arc.enclosed_area,
-            "contained": bool(arc.contained),
-            "ortho_residual": arc.ortho_residual,
-        })
+    _, roots = arcsmod.scan_arc_roots(curve, args.s1, args.grid)
+    built = arcsmod.build_arcs(curve, np.full(len(roots), args.s1), roots)
+    out = [{
+        "s1": args.s1,
+        "s2": s2,
+        "kind": arc.kind,
+        "curvature": arc.curvature,
+        "radius": arc.radius,
+        "length": arc.length,
+        "enclosed_area": arc.enclosed_area,
+        "contained": bool(arc.contained),
+        "ortho_residual": arc.ortho_residual,
+    } for s2, arc in zip(roots.tolist(), built)]
     _emit(_json_dump(out), args.output)
     return EXIT_OK
 

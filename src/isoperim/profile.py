@@ -556,12 +556,10 @@ def _branch_pass(domains, asked, n_s1) -> list:
     step = TWO_PI / n_s1
     s1_grid = (np.arange(n_s1) + 0.5) * step
     try:
-        roots = arcsmod.scan_arc_roots(curve, s1_grid, domain=np.arange(d))
-        counts = np.array([len(r) for r in roots]).reshape(d, n_s1)
-        s1_all = np.repeat(np.tile(s1_grid, d), counts.ravel())
-        s2_all = np.concatenate(roots)
-        table = arcsmod.arc_batch(curve, s1_all, s2_all,
-                                  np.repeat(np.arange(d), counts.sum(axis=1)))
+        row, s2_all = arcsmod.scan_arc_roots(curve, s1_grid, domain=np.arange(d))
+        counts = np.bincount(row, minlength=d * n_s1).reshape(d, n_s1)
+        s1_all = s1_grid[row % n_s1]
+        table = arcsmod.arc_batch(curve, s1_all, s2_all, row // n_s1)
         table.raise_first()
     except IsoperimError as exc:
         if d == 1:

@@ -325,18 +325,19 @@ def test_stacked_curve_refuses_what_needs_one_domain(ellipse_main, fourier_domai
     assert SupportCurve.stack([ellipse_main]).area() == ellipse_main.area()
 
 
-def test_scan_of_a_scalar_slice_takes_one_domain(ellipse_main):
-    # a scalar s1 returns one root list, so it cannot hold several domains'
-    # roots; an array of one slice keeps a list per domain, each root within
-    # the scan's 1e-13 of the domain's own scan (the stack rounds differently)
+def test_scan_of_a_scalar_slice_is_one_slice(ellipse_main):
+    # a scalar s1 is an array of one slice, so row j holds domain j's roots,
+    # each within the scan's 1e-13 of the domain's own scan (the stack rounds
+    # differently)
     two_mode = SupportCurve((1, 0, 0.1, 0, 0.003))
     stack = SupportCurve.stack([ellipse_main, two_mode])
-    with pytest.raises(ValueError, match="scan one domain"):
-        arcs.scan_arc_roots(stack, 0.3, domain=[0, 1])
-    lists = arcs.scan_arc_roots(stack, [0.3], domain=[0, 1])
-    assert len(lists) == 2
-    for got, curve in zip(lists, (ellipse_main, two_mode)):
-        assert got == pytest.approx(arcs.scan_arc_roots(curve, 0.3), abs=1e-13)
+    row, s2 = arcs.scan_arc_roots(stack, 0.3, domain=[0, 1])
+    for got, want in zip((row, s2), arcs.scan_arc_roots(stack, [0.3], domain=[0, 1])):
+        assert np.array_equal(got, want)
+    assert np.unique(row).tolist() == [0, 1]
+    for j, curve in enumerate((ellipse_main, two_mode)):
+        assert s2[row == j] == pytest.approx(arcs.scan_arc_roots(curve, 0.3)[1],
+                                             abs=1e-13)
 
 
 def test_arc_kernel_matches_scalar_math(monkeypatch, ellipse_main, fourier_domain):
@@ -424,8 +425,8 @@ def test_arc_invariants_on_random_class_a(curve, theta):
 # --- root scanning -----------------------------------------------------------
 
 def test_scan_finds_both_families(ellipse_main):
-    roots = arcs.scan_arc_roots(ellipse_main, 0.3)
-    assert len(roots) == 2
+    row, roots = arcs.scan_arc_roots(ellipse_main, 0.3)
+    assert row.tolist() == [0, 0]
     assert roots[0] == pytest.approx(np.pi - 0.3, abs=1e-10)
     assert roots[1] == pytest.approx(TWO_PI - 0.3, abs=1e-10)
 
@@ -433,7 +434,7 @@ def test_scan_finds_both_families(ellipse_main):
 def test_scan_drops_spurious_antipodal(ellipse_main):
     # the line s2 = s1 + pi zeroes f identically but is not a perfect chord;
     # the scan's function h = f·tan(Δ/2) does not vanish there
-    roots = arcs.scan_arc_roots(ellipse_main, 0.3)
+    _, roots = arcs.scan_arc_roots(ellipse_main, 0.3)
     assert all(abs((r - 0.3) - np.pi) > 1e-3 for r in roots)
 
 
@@ -476,25 +477,23 @@ def test_batched_scan_matches_dense_scan(name, ellipse_main, fourier_domain):
     for n_s1, n_scan in ((96, arcs.SCAN_POINTS), (192, arcs.SCAN_POINTS),
                          (768, 1536)):
         s1_grid = (np.arange(n_s1) + 0.5) * TWO_PI / n_s1
-        batched = arcs.scan_arc_roots(curve, s1_grid, n_scan)
-        assert len(batched) == n_s1
+        row, s2 = arcs.scan_arc_roots(curve, s1_grid, n_scan)
+        assert np.all(np.diff(row) >= 0) and 0 <= row[0] and row[-1] < n_s1
+        batched = np.split(s2, np.searchsorted(row, np.arange(1, n_s1)))
         # a scalar s1 scans its own node set and finds the same roots; the
         # slice near s1 = 0.35 keeps its partners away from the vertices,
         # where h's sign is rounding noise over ~1e-11 of s2
         k = 5 * n_s1 // 96
-        single = arcs.scan_arc_roots(curve, float(s1_grid[k]))
-        assert isinstance(single, list) and all(type(r) is float for r in single)
+        single_row, single = arcs.scan_arc_roots(curve, float(s1_grid[k]))
+        assert not single_row.any()
         assert single == pytest.approx(batched[k], abs=1e-12)
-        counts = [len(r) for r in batched]
-        f = arcs.two_point_f_many(curve, np.repeat(s1_grid, counts),
-                                  np.concatenate(batched))
+        f = arcs.two_point_f_many(curve, s1_grid[row], s2)
         assert np.max(np.abs(f)) <= 1e-12
         # compare where both scans can bracket a root: two scan cells in
         # from the chord's own zero at s2 = s1, less one dense cell
         edge = 2.0 * TWO_PI / (n_s1 * -(-n_scan // n_s1))
         dense = _dense_crossings(curve, s1_grid, edge)
         for s1, roots, (genuine, _) in zip(s1_grid, batched, dense):
-            roots = np.array(roots)
             # every root lies in a genuine dense cell, and every genuine cell
             # holds a root: none is missed, including the near-diametral arcs
             # of the perturbed disk next to the spurious crossing
@@ -544,9 +543,9 @@ def test_is_circle(name, circle, unit_disk, ellipse_main):
 
 def test_scan_without_cells_finds_nothing(ellipse_main):
     for n_scan in (0, 1):
-        assert arcs.scan_arc_roots(ellipse_main, 0.3, n_scan) == []
-        assert arcs.scan_arc_roots(ellipse_main, [0.3, 0.3 + np.pi],
-                                   n_scan) == [[], []]
+        for s1 in (0.3, [0.3, 0.3 + np.pi]):
+            row, s2 = arcs.scan_arc_roots(ellipse_main, s1, n_scan)
+            assert row.size == s2.size == 0
 
 
 def test_scan_refuses_uneven_slices(ellipse_main):
@@ -556,7 +555,7 @@ def test_scan_refuses_uneven_slices(ellipse_main):
 
 
 def test_corrector_marks_failed_elements_nan(monkeypatch, fourier_domain):
-    root = arcs.scan_arc_roots(fourier_domain, 0.3)[0]
+    root = arcs.scan_arc_roots(fourier_domain, 0.3)[1][0]
     got = arcs._correct_s2(fourier_domain, 0.3, root + 0.05)
     assert got.shape == () and got == pytest.approx(root, abs=1e-12)
     # the coincidence guard: f vanishes at s2 = s1 mod 2pi, where no arc is
@@ -578,7 +577,7 @@ def test_corrector_stops_at_rounding_floor(monkeypatch):
     # is reached and the 1e-14 step test alone never passes
     curve = SupportCurve((1.0, 0.0, 0.0327, 0.0, -0.00057)).normalized_to(np.pi)
     s1 = 0.0327
-    [partner] = [r for r in arcs.scan_arc_roots(curve, s1) if r > np.pi]
+    [partner] = [r for r in arcs.scan_arc_roots(curve, s1)[1] if r > np.pi]
     assert partner - TWO_PI == pytest.approx(-0.033, abs=1e-3)
     calls = []
     real_eval = arcs.two_point_eval
@@ -605,7 +604,7 @@ def test_corrector_stops_at_its_converged_point(monkeypatch, ellipse_main):
     # seeded at its own root (s2 = π − 0.3), the first Newton step is already
     # below 1e-14·max(1, |s2|): the corrector returns the seed after one
     # evaluation
-    root = arcs._correct_s2(ellipse_main, 0.3, arcs.scan_arc_roots(ellipse_main, 0.3)[0])
+    root = arcs._correct_s2(ellipse_main, 0.3, arcs.scan_arc_roots(ellipse_main, 0.3)[1][0])
     calls = []
     real_eval = arcs.two_point_eval
     monkeypatch.setattr(arcs, "two_point_eval",
@@ -635,7 +634,7 @@ def test_family_containment_is_one_call(monkeypatch, ellipse_main):
     calls, real = [], SupportCurve.contains_many
     monkeypatch.setattr(SupportCurve, "contains_many",
                         lambda self, pts: calls.append(np.asarray(pts)) or real(self, pts))
-    s2 = arcs.scan_arc_roots(ellipse_main, 0.3)[0]
+    s2 = arcs.scan_arc_roots(ellipse_main, 0.3)[1][0]
     fam = arcs.continue_family(ellipse_main, 0.3, s2, steps=12, ds=0.05)
     assert len(fam) == 12 and len(calls) == 1 and calls[0].shape == (12, 33, 2)
     assert all(arc.contained for arc in fam)
@@ -807,7 +806,7 @@ ASYMMETRIC = SupportCurve((1.0, 0.05, 0.03), (0.0, 0.02)).normalized_to(np.pi)
 def test_continued_family_matches_per_pair_arcs(ellipse_main):
     assert_matches_per_pair(ellipse_main, arcs.continue_family(
         ellipse_main, 0.3, -0.3, steps=12, ds=0.05))
-    [s2] = arcs.scan_arc_roots(ASYMMETRIC, 0.3)
+    [s2] = arcs.scan_arc_roots(ASYMMETRIC, 0.3)[1]
     assert_matches_per_pair(ASYMMETRIC, arcs.continue_family(
         ASYMMETRIC, 0.3, s2, steps=10, ds=0.03))
 

@@ -400,9 +400,8 @@ def test_branch_slope_reads_the_kernel_sample(ellipse_main):
     curve = pert.build_perturbed_domain(pert.PerturbationField.mode(3), 5e-3)
     for c in (ellipse_main, curve):
         s1_grid = (np.arange(24) + 0.5) * (2.0 * np.pi / 24)
-        roots = arcs.scan_arc_roots(c, s1_grid)
-        s1 = np.repeat(s1_grid, [len(r) for r in roots])
-        s2 = np.concatenate(roots)
+        row, s2 = arcs.scan_arc_roots(c, s1_grid)
+        s1 = s1_grid[row]
         _, g1, g2, w1, w2 = arcs.two_point_eval(c, s1, s2)
         slope = prof._branch_slope(arcs.arc_batch(c, s1, s2))[0]
         assert np.array_equal(slope, -(g1 * w1) / (g2 * w2))
@@ -431,9 +430,8 @@ def test_branch_area_derivative_matches_differences(name, ellipse_main,
              "critical cos 4u": pert.build_perturbed_domain(
                  pert.PerturbationField.mode(4), 1e-3)}[name]
     s1_grid = (np.arange(12) + 0.5) * (2.0 * np.pi / 12)
-    roots = arcs.scan_arc_roots(curve, s1_grid)
-    s1 = np.repeat(s1_grid, [len(r) for r in roots])
-    s2 = np.concatenate(roots)
+    row, s2 = arcs.scan_arc_roots(curve, s1_grid)
+    s1 = s1_grid[row]
     arc = arcs.arc_batch(curve, s1, s2)
     slope, d_area, da_df, _ = prof._branch_slope(arc)
     # points where the branch is a graph over s1 with a moderate slope and
@@ -708,9 +706,8 @@ def match_segments_one_root_at_a_time(curve, target_area, n_s1=prof.N_S1):
     i + 1 and joins the nearest root within 3 steps per slice."""
     step = 2.0 * np.pi / n_s1
     s1_grid = (np.arange(n_s1) + 0.5) * step
-    roots = arcs.scan_arc_roots(curve, s1_grid)
-    counts = [len(r) for r in roots]
-    s1_all, s2_all = np.repeat(s1_grid, counts), np.concatenate(roots)
+    row, s2_all = arcs.scan_arc_roots(curve, s1_grid)
+    counts, s1_all = np.bincount(row, minlength=n_s1), s1_grid[row]
     _, g1, g2, w1, w2 = arcs.two_point_eval(curve, s1_all, s2_all)
     split = np.cumsum(counts)[:-1]
     offsets, areas, d1, d2 = (np.split(x, split) for x in (
