@@ -6,11 +6,11 @@ asymmetric, two-mode and three-sine domains, the sqrt-2 ellipse with
 `--grid 1024`, and the disk (refused); `domain-info` on the sqrt-2 ellipse
 and the asymmetric domain; `profile` on the sqrt-2 ellipse;
 `check-conjecture` on the sqrt-2 and aspect-3 ellipses; `perturb roots --n 7`;
-`perturb experiment` for modes 2 and 4; and `implicit-curve`. Each command's exit code, stdout and stderr are written
-under its name. Positional names run only those commands. With
-`--against OTHER.json` it prints every command, of those both runs hold,
-whose exit code, stdout or stderr differs from the other run, then how many
-differ.
+`perturb experiment` for modes 2 and 4; and `implicit-curve`. Each command's
+exit code, stdout and stderr are written under its name; positional names
+run only those commands. With `--against OTHER.json` it prints every
+command, of those both runs hold, whose exit code, stdout or stderr differs
+from the other run, then how many differ.
 """
 
 import argparse
@@ -78,7 +78,7 @@ def compare(runs: dict, other: dict, label=""):
         changed = [key for key in runs[name] if runs[name][key] != other[name].get(key)]
         if changed:
             differ += 1
-            print(f"{label}{name}: {', '.join(changed)} differ")
+            print(f"{label}{name}: {', '.join(changed)} changed")
     print(f"{label}{differ} of {len(both)} commands differ")
 
 

@@ -30,7 +30,7 @@ from .errors import (CoincidentPoints, DegenerateGradient, DegenerateVertex,
                      NoConvergence, NormalsParallelButNotAligned, NotAVertex,
                      NotPerfect)
 from .geometry import (CurveSamples, PlaneBoundary, SupportCurve, TWO_PI,
-                       _is_disk_coeffs, curvature_arclength_derivatives)
+                       _curvature_jet, _is_disk_coeffs)
 
 SEGMENT_NORMAL_TOL = 1e-8
 # |f| an endpoint pair may leave, per unit of max(chord, 1), and still be perfect
@@ -393,8 +393,7 @@ def scan_arc_roots(curve: PlaneBoundary, s1, n_scan: int = SCAN_POINTS,
     row, s2 = sign_change_roots(h, turn(nodes[None], TWO_PI)[0],
                                 vals.reshape(d * n, m - 1), 1e-13)
     # an exact zero at a node also ends the cell before it
-    keep = np.ones(len(row), dtype=bool)
-    keep[1:] = (row[1:] != row[:-1]) | (np.diff(s2) > 1e-9)
+    keep = (np.diff(row, prepend=-1) != 0) | (np.diff(s2, prepend=-np.inf) > 1e-9)
     return row[keep], s2[keep]
 
 
@@ -531,7 +530,7 @@ def _vertex_partners(curve: SupportCurve, vertex_theta: float,
     The partner offset solves f = 0, seeded by the quadratic expansion
     s2 ≈ −s1 − (κ'''/(5κ''))·s1².
     """
-    k_s, k_ss, k_sss = curvature_arclength_derivatives(curve, vertex_theta)
+    _, k_s, k_ss, k_sss = _curvature_jet(curve, vertex_theta)
     if abs(k_s) > 1e-8:
         raise NotAVertex(f"kappa'({vertex_theta:.6f}) = {k_s:.3e} != 0")
     if abs(k_ss) < 1e-8:

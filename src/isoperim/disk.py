@@ -44,13 +44,17 @@ def theta_to_area(theta):
     Evaluated as θ + cos t·(t cos t − sin t)/sin²t with t = π/2 − θ, which is
     stable where the textbook form θ − tanθ + (π/2−θ)tan²θ loses digits;
     near t = 0, t cos t − sin t = −t³/3·(1 − t²/10 + t⁴/280 − t⁶/15120).
+    Its 2e-16 absolute rounding swamps A ≈ (π/2)θ² as θ → 0, so below θ = 0.03
+    A = (π/2 − θ)tan²θ − (tanθ − θ), tanθ − θ from its series to θ⁹ (relative).
     """
     theta = _half_angle(theta)
     t = HALF_PI - theta
-    t2 = t * t
+    t2, z = t * t, theta * theta
     series = -(t ** 3) / 3.0 * (1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 ** 3 / 15120.0)
     tcs = np.where(np.abs(t) < 0.05, series, t * np.cos(t) - np.sin(t))
-    return _float_or_array(theta + np.cos(t) * tcs / np.sin(t) ** 2)
+    u = theta * z * (1 / 3 + z * (2 / 15 + z * (17 / 315 + z * 62 / 2835)))
+    return _float_or_array(np.where(theta < 0.03, t * (theta + u) ** 2 - u,
+                                    theta + np.cos(t) * tcs / np.sin(t) ** 2))
 
 
 def theta_to_length(theta):

@@ -356,11 +356,6 @@ def _curvature_jet(curve: SupportCurve, theta) -> tuple:
     return kap, k_s, k_ss, k_sss
 
 
-def curvature_arclength_derivatives(curve: SupportCurve, theta):
-    """(dκ/ds, d²κ/ds², d³κ/ds³) at boundary angles (`_curvature_jet`)."""
-    return _curvature_jet(curve, theta)[1:]
-
-
 def find_vertices(curve: SupportCurve):
     """Roots of κ'(θ) (equivalently ρ'(θ)) by sign-change scan, refined by
     `sign_change_roots`; sorted, in (−1e-6, 2π − 1e-6]."""

@@ -493,8 +493,8 @@ def oracle_pairs(curves, areas, n_s1: int) -> tuple:
     Returns (values, errors): values[p] is the profile, or NaN where
     errors[p] holds the pair's refusal, the `IsoperimError` that
     `general_profile_oracle` raises for it; any other exception propagates.
-    A circle-like domain takes `_circle_profile_value`. The other curves,
-    each distinct object once (pairs that share a curve share its scan), are
+    Each distinct curve object is centred (`_centred`) and, unless circle-like
+    (`_circle_profile_value`), scanned once with all its pairs; the curves are
     stacked by class (`PlaneBoundary.stack`), and each stack takes one pass
     (`_branch_pass`) whose every lane carries its domain index: the pass
     costs about as much as its slowest domain alone.
@@ -504,7 +504,8 @@ def oracle_pairs(curves, areas, n_s1: int) -> tuple:
     if len(curves) != len(areas):
         raise ValueError(f"{len(curves)} curves but {len(areas)} areas")
     values, errors = np.full(len(areas), np.nan), [None] * len(areas)
-    stacks = {}
+    centred = {id(c): _centred(c) for c in curves}
+    curves, stacks = [centred[id(c)] for c in curves], {}
     for p, (curve, area) in enumerate(zip(curves, areas)):
         try:
             total = curve.area()
@@ -526,6 +527,15 @@ def oracle_pairs(curves, areas, n_s1: int) -> tuple:
                 (pair for pairs in asked for pair in pairs), found):
             values[p], errors[p] = value, exc
     return values, errors
+
+
+def _centred(curve: PlaneBoundary) -> PlaneBoundary:
+    """A support curve translated so its mode 1 vanishes: the profile ignores
+    a translation, and the Green area rounds at the distance from the origin."""
+    c, s = getattr(curve, "cos_coeffs", ()), getattr(curve, "sin_coeffs", ())
+    if not any(c[1:2] + s[:1]):  # a radial or centred curve as it is
+        return curve
+    return SupportCurve(c[:1] + (0.0,) + c[2:], (0.0,) + s[1:])
 
 
 def _branch_pass(domains, asked, n_s1) -> list:
@@ -590,8 +600,8 @@ def _branch_pass(domains, asked, n_s1) -> list:
     wanted = [list({t for a, total in pairs for t in (a, total - a)})
               for pairs in asked]
     targets = np.full((d, max(map(len, wanted))), np.nan)
-    for row, ts in zip(targets, wanted):
-        row[:len(ts)] = ts
+    for padded, ts in zip(targets, wanted):
+        padded[:len(ts)] = ts
     seg, which = np.nonzero((area[dm, i, r, None] - targets[dm])
                             * (area[dm, j, k, None] - targets[dm]) <= 0.0)
     dm, i, r, j, k = dm[seg], i[seg], r[seg], j[seg], k[seg]

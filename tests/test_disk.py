@@ -93,6 +93,36 @@ def test_area_to_theta_bracket_holds():
     assert np.all(np.abs(disk.theta_to_area(theta) - area) <= np.pi * 1e-14 + 1e-15)
 
 
+def test_area_keeps_relative_accuracy_at_small_angles():
+    # below θ = 0.03 the area is (π/2 − θ)·tan²θ − (tanθ − θ), with tanθ − θ
+    # from its series to θ⁹: about 7 roundings, all relative, and a
+    # truncation below 5.7e-3·θ⁹ ≤ 1.1e-16 relative; allowed 2e-15 (measured
+    # 4.4e-16). From 0.03 up the cancelling form misses by the rounding of
+    # t = π/2 − θ (1.7e-16) and about 5 roundings of θ-sized terms: allowed
+    # 3e-16 absolute. θ starts at 1e-150, where A is still a normal float.
+    mp = pytest.importorskip("mpmath")
+
+    def exact(theta):
+        t = mp.mpf(theta)
+        return t - mp.tan(t) + (mp.pi / 2 - t) * mp.tan(t) ** 2
+
+    small = np.append(np.geomspace(1e-150, 0.03, 60, endpoint=False),
+                      np.nextafter(0.03, 0.0))
+    with mp.workdps(40):
+        for theta in small:
+            ref = exact(theta)
+            assert abs(disk.theta_to_area(theta) - ref) <= 2e-15 * ref
+        for theta in (0.03, 0.05, 0.113):
+            assert abs(disk.theta_to_area(theta) - exact(theta)) <= 3e-16
+        # the profile inherits the solve's xtol = 1e-14 on θ (L ≈ πθ):
+        # measured 1.3e-9 relative at A = 1e-16, where the area map alone
+        # missed by 10.7%
+        for a in (1e-16, 1e-12, 1e-8):
+            theta = mp.findroot(lambda t: exact(t) - a, np.sqrt(2.0 * a / np.pi))
+            ref = (mp.pi - 2 * theta) * mp.tan(theta)
+            assert abs(disk.profile(a) - ref) <= (1e-14 / theta + 1e-14) * ref
+
+
 def test_profile_values():
     assert disk.profile(HALF_PI) == 2.0
     assert disk.profile(HALF_PI - 1.0) == pytest.approx(HALF_PI, abs=1e-12)

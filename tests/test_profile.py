@@ -640,6 +640,21 @@ def test_oracle_scales_with_the_domain(ellipse_main, scale):
         scale * prof.general_profile_oracle(ellipse_main, 1.0), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("shift", [(1e3, 5e2), (1e4, 5e3), (1e5, 0.0)])
+def test_oracle_ignores_a_translation(ellipse_main, shift):
+    """The √2 ellipse translated by `shift` (its mode-1 support coefficients)
+    has the profile of the centred ellipse: the oracle zeroes mode 1 before
+    it scans. Without that, (1e3, 5e2) gave 0.0616 too much at A = 0.05 and
+    the larger shifts were refused. Measured: bit for bit; allowed 1e-13."""
+    c, s = list(ellipse_main.cos_coeffs), list(ellipse_main.sin_coeffs)
+    c[1], s[0] = c[1] + shift[0], s[0] + shift[1]
+    areas = [0.05, 0.4, 1.0, 1.5]
+    values, errors = prof.oracle_pairs([SupportCurve(c, s)] * 4, areas, prof.N_S1)
+    centred, _ = prof.oracle_pairs([ellipse_main] * 4, areas, prof.N_S1)
+    assert errors == [None] * 4
+    assert np.max(np.abs(values - centred)) <= 1e-13
+
+
 # --- one pass over (domain, area) pairs -------------------------------------------
 
 def test_oracle_pairs_equal_their_single_calls(ellipse_main):
@@ -669,6 +684,32 @@ def test_oracle_pairs_keep_a_refusal_to_its_pair(ellipse_main):
     assert np.isnan(values[0]) and errors[1:] == [None, None]
     for curve, a, value in zip(curves[1:], areas[1:], values[1:]):
         assert abs(value - prof.general_profile_oracle(curve, a)) <= 1e-13
+
+
+def test_failed_table_falls_back_to_one_pass_per_domain(monkeypatch, ellipse_main,
+                                                        fourier_domain):
+    # an arc kernel that fails every lane of the two-mode domain, alone or as
+    # domain 1 of a stack: the stacked table fails, and each domain takes a
+    # pass of its own, so the ellipse keeps its single-call value and the
+    # two-mode domain gets the refusal of its single call
+    real, stacked = arcs.arc_batch, []
+
+    def failing(curve, t_lo, t_hi, domain=0):
+        batch = real(curve, t_lo, t_hi, domain)
+        mine = np.asarray(domain) == 1 if curve is not fourier_domain else True
+        stacked.append(np.any(np.asarray(domain) == 1))
+        return batch._replace(failure=np.where(mine, 1, batch.failure))
+
+    monkeypatch.setattr(arcs, "arc_batch", failing)
+    values, errors = prof.oracle_pairs([ellipse_main, fourier_domain], [1.0, 0.5],
+                                       prof.N_S1)
+    assert stacked[0]
+    assert errors[0] is None
+    assert values[0] == prof.general_profile_oracle(ellipse_main, 1.0)
+    with pytest.raises(IsoperimError) as single:
+        prof.general_profile_oracle(fourier_domain, 0.5)
+    assert type(errors[1]) is type(single.value) is NotPerfect
+    assert str(errors[1]) == str(single.value) and np.isnan(values[1])
 
 
 def test_experiment_work_is_one_pass(monkeypatch):

@@ -81,3 +81,23 @@ def test_scripts_write_their_files(monkeypatch, tmp_path, capsys):
     script["compare"](batched, batched, keys=("refusal",), label="batched against x: ")
     assert capsys.readouterr().out.splitlines() == [
         "batched against x: largest value change: 0.000e+00 (cos 2u b=0.85 s=0.001)"]
+
+
+def test_cli_outputs_against_itself(monkeypatch, tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    names = ["domain-info ellipse", "perturb roots 7"]
+    run_script(monkeypatch, "cli_outputs.py", "--out", str(first), *names)
+    written = json.loads(first.read_text(encoding="utf-8"))
+    assert list(written) == names
+    assert all(r["exit"] == 0 and r["stdout"] and not r["stderr"]
+               for r in written.values())
+    capsys.readouterr()
+    script = run_script(monkeypatch, "cli_outputs.py", "--out", str(second),
+                        "--against", str(first), *names)
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"against {first}: 0 of 2 commands differ"]
+    # a changed byte names its command and entry
+    written["perturb roots 7"]["stdout"] += " "
+    script["compare"](written, json.loads(second.read_text(encoding="utf-8")))
+    assert capsys.readouterr().out.splitlines() == [
+        "perturb roots 7: stdout changed", "1 of 2 commands differ"]
